@@ -4,7 +4,6 @@ projection, vorticity, Biot-Savart inversion, mollifiers and bump fields."""
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import j0
 
 from .spectral import (
     Grid,
@@ -132,6 +131,8 @@ def _mollifier_profile(q: np.ndarray, dim: int) -> np.ndarray:
     value at q = 0 is exactly 1.  2D uses the Hankel (J0) transform,
     3D the spherical (sinc) transform.
     """
+    from scipy.special import j0
+
     r = (np.arange(_MOLLIFIER_NODES) + 0.5) / _MOLLIFIER_NODES
     rho = np.exp(-1.0 / (1.0 - r * r))
     qf = np.asarray(q, dtype=np.float64).ravel()

@@ -2,9 +2,10 @@
 
 Two families:
 
-- B-spline (order 3 or 5): an FFT prefilter turns samples into spline
-  coefficients (division by the spline's transfer function along each
-  axis), then the compact-support kernel is evaluated per query point.
+- B-spline (order 3 or 5): ``scipy.ndimage.spline_filter`` turns samples
+  into spline coefficients (the periodic recursive prefilter, mode
+  ``grid-wrap``), then ``scipy.ndimage.map_coordinates`` evaluates the
+  compact-support kernel per query point with the same wrapping.
   O(1) per point after the prefilter; accuracy O(h^{order+1}).
 - Exact trigonometric evaluation (``order="fourier"``): sums the Fourier
   series at the query points.  Exact for band-limited fields, O(#modes)
@@ -20,31 +21,11 @@ import warnings
 
 import numpy as np
 
-from . import _kernels
-from .spectral import Grid, _Field
+from .spectral import _Field
 
 __all__ = ["Interpolant", "sample", "DEFAULT_ORDER"]
 
 DEFAULT_ORDER = 3
-
-# transfer function of the centered B-spline on the integer grid
-_THETA_GAIN = {
-    3: lambda th: (4.0 + 2.0 * np.cos(th)) / 6.0,
-    5: lambda th: (66.0 + 52.0 * np.cos(th) + 2.0 * np.cos(2.0 * th)) / 120.0,
-}
-
-
-def _prefilter(field: _Field, order: int) -> np.ndarray:
-    grid = field.grid
-    theta = 2.0 * np.pi * grid._kint / grid.n
-    hat = field.hat.reshape((-1,) + grid.shape).copy()
-    gain = _THETA_GAIN[order]
-    for j in range(grid.dim):
-        shape = [1] * grid.dim
-        shape[j] = grid.n
-        hat /= gain(theta).reshape(shape)
-    return grid.ifft(hat)
-
 
 class Interpolant:
     """Prepared interpolant of one field; evaluate with ``.at(points)``.
@@ -78,9 +59,12 @@ class Interpolant:
                     "spline interpolation of it is not well defined",
                     stacklevel=2,
                 )
-            self._coeffs = np.ascontiguousarray(
-                _prefilter(field, order).reshape((-1,) + grid.shape)
-            )
+            from scipy import ndimage
+
+            self._coeffs = [
+                ndimage.spline_filter(c, order=order, mode="grid-wrap")
+                for c in field.data.reshape((-1,) + grid.shape)
+            ]
 
     def at(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)
@@ -91,12 +75,14 @@ class Interpolant:
         if self.order == "fourier":
             vals = self._fourier_at(flat)
         else:
+            from scipy import ndimage
+
             t = (flat % self.grid.length) / self.grid.spacing
-            if self.grid.dim == 2:
-                vals = _kernels.eval_spline_2d(self._coeffs, t[0], t[1], self.order)
-            else:
-                vals = _kernels.eval_spline_3d(self._coeffs, t[0], t[1], t[2],
-                                               self.order)
+            vals = np.empty((len(self._coeffs), flat.shape[1]))
+            for c, coeffs in enumerate(self._coeffs):
+                ndimage.map_coordinates(coeffs, t, output=vals[c],
+                                        order=self.order, mode="grid-wrap",
+                                        prefilter=False)
         return vals.reshape(self._comp_shape + pshape)
 
     def _fourier_at(self, flat: np.ndarray, block: int = 4096) -> np.ndarray:

@@ -1,11 +1,12 @@
-"""Periodic B-spline / Fourier interpolation and the evaluation kernels."""
+"""Periodic B-spline / Fourier interpolation."""
+
+import itertools
 
 import numpy as np
 import pytest
 
-from eulerlab import Grid, ScalarField, VectorField, random_scalar
+from eulerlab import Grid, ScalarField, VectorField, random_div_free, random_scalar
 from eulerlab.interp import Interpolant, sample
-from eulerlab import _kernels
 
 TAU = 2.0 * np.pi
 
@@ -94,33 +95,62 @@ class TestNyquistWarning:
             Interpolant(f, order=3)
 
 
-class TestKernels:
-    def test_backend_selected(self):
-        assert _kernels.BACKEND in ("numba", "numpy")
+def bspline_weights(f, order):
+    """Centered B-spline weights at offsets -lo..order-lo, lo = (order-1)//2,
+    for fractional parts f; shape (order + 1,) + f.shape."""
+    g = 1.0 - f
+    if order == 3:
+        return np.stack([g**3, 4.0 - 6.0 * f**2 + 3.0 * f**3,
+                         1.0 + 3.0 * f + 3.0 * f**2 - 3.0 * f**3, f**3]) / 6.0
+    return np.stack([
+        g**5,
+        (2.0 - f) ** 5 - 6.0 * g**5,
+        (3.0 - f) ** 5 - 6.0 * (2.0 - f) ** 5 + 15.0 * g**5,
+        (2.0 + f) ** 5 - 6.0 * (1.0 + f) ** 5 + 15.0 * f**5,
+        (1.0 + f) ** 5 - 6.0 * f**5,
+        f**5,
+    ]) / 120.0
 
-    def test_numba_and_numpy_agree_2d(self, rng):
-        coeffs = rng.standard_normal((2, 16, 16))
-        tx = rng.uniform(0, 16, size=300)
-        ty = rng.uniform(0, 16, size=300)
-        for order in (3, 5):
-            a = _kernels._eval_2d_numpy(coeffs, tx, ty, order)
-            b = _kernels.eval_spline_2d(coeffs, tx, ty, order)
-            assert np.max(np.abs(a - b)) < 1e-12
 
-    def test_numba_and_numpy_agree_3d(self, rng):
-        coeffs = rng.standard_normal((1, 8, 8, 8))
-        t = [rng.uniform(0, 8, size=100) for _ in range(3)]
-        for order in (3, 5):
-            a = _kernels._eval_3d_numpy(coeffs, *t, order)
-            b = _kernels.eval_spline_3d(coeffs, *t, order)
-            assert np.max(np.abs(a - b)) < 1e-12
+def reference_spline(data, t, order):
+    """Periodic B-spline interpolant of samples ``data`` at grid-unit points
+    ``t`` (shape (dim, M)), summed term by term over the kernel's support.
+    Coefficients divide the samples by the kernel's transfer function."""
+    n, dim, lo = data.shape[0], data.ndim, (order - 1) // 2
+    taps = bspline_weights(np.zeros(()), order)  # kernel at integer offsets
+    theta = TAU * np.fft.fftfreq(n)
+    gain = sum(w * np.cos((j - lo) * theta) for j, w in enumerate(taps))
+    hat = np.fft.fftn(data)
+    for ax in range(dim):
+        hat /= gain.reshape([-1 if a == ax else 1 for a in range(dim)])
+    coeffs = np.real(np.fft.ifftn(hat))
+    base = np.floor(t).astype(int)
+    w = bspline_weights(t - base, order)
+    out = np.zeros(t.shape[1])
+    for offs in itertools.product(range(order + 1), repeat=dim):
+        weight = np.prod([w[o, ax] for ax, o in enumerate(offs)], axis=0)
+        idx = tuple((base[ax] + o - lo) % n for ax, o in enumerate(offs))
+        out += weight * coeffs[idx]
+    return out
 
-    def test_cubic_weights_partition_of_unity(self, rng):
-        f = rng.uniform(0, 1, size=50)
-        w = _kernels._cubic_weights_np(f)
-        assert np.max(np.abs(np.sum(w, axis=0) - 1.0)) < 1e-14
 
-    def test_quintic_weights_partition_of_unity(self, rng):
-        f = rng.uniform(0, 1, size=50)
-        w = _kernels._quintic_weights_np(f)
-        assert np.max(np.abs(np.sum(w, axis=0) - 1.0)) < 1e-13
+class TestSplineReference:
+    @pytest.mark.parametrize("order", [3, 5])
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_matches_direct_bspline_sum(self, rng, order, dim, n):
+        grid = Grid(dim=dim, n=n, length=TAU)
+        u = random_div_free(grid, rng, s=2.0)
+        pts = rng.uniform(-TAU, 2.0 * TAU, size=(dim, 300))
+        vals = Interpolant(u, order=order).at(pts)
+        t = (pts % TAU) / grid.spacing
+        for c in range(dim):
+            ref = reference_spline(u.data[c], t, order)
+            assert np.max(np.abs(vals[c] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("order", [3, 5, "fourier"])
+    def test_constant_field_is_reproduced(self, rng, grid16, grid3d, order):
+        for grid in (grid16, grid3d):
+            f = ScalarField(grid, np.full(grid.shape, 2.5))
+            pts = rng.uniform(-TAU, 2.0 * TAU, size=(grid.dim, 200))
+            vals = Interpolant(f, order=order).at(pts)
+            assert np.max(np.abs(vals - 2.5)) < 1e-13
