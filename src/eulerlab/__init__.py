@@ -20,7 +20,6 @@ from .spectral import (
     chi_cutoff,
     chi_symbol,
     dealias,
-    inv_laplace_highpass,
     partial_derivative,
     random_scalar,
     sobolev_inner,

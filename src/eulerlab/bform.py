@@ -18,15 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import advect, divergence, gradient, jacobian, leray_project
-from .spectral import (
-    Grid,
-    ScalarField,
-    VectorField,
-    dealias_values,
-    inv_laplace_highpass,
-    sobolev_norm,
-)
+from .fields import advect, divergence, jacobian, leray_project
+from .spectral import Grid, ScalarField, VectorField, sobolev_norm
 
 __all__ = ["BAssembly"]
 
@@ -38,6 +31,10 @@ class BAssembly:
     ``cutoff`` is the radius of the sharp low/high frequency split; the
     sum B1 + B2 is independent of it up to the band bookkeeping, so any
     positive value yields a consistent pressure.
+
+    Everything is evaluated on half spectra (``Grid.rfft``): one inverse
+    transform per factor (u and du) and one forward transform per
+    product, with the 2/3-rule mask folded into the precomputed symbols.
     """
 
     grid: Grid
@@ -46,46 +43,66 @@ class BAssembly:
     def __post_init__(self) -> None:
         if not self.cutoff > 0:
             raise ValueError(f"cutoff must be positive, got {self.cutoff}")
+        g = self.grid
         r2 = self.cutoff * self.cutoff * (1.0 + 1e-12)
-        low = self.grid.xi_sq <= r2
-        safe = np.where(self.grid.xi_sq > 0, self.grid.xi_sq, 1.0)
-        # chi(xi) xi_i xi_k / |xi|^2, zero at the origin.
-        p_sym = np.empty((self.grid.dim, self.grid.dim) + self.grid.shape)
-        for i in range(self.grid.dim):
-            for k in range(self.grid.dim):
-                sym = self.grid.xi_axes[i] * self.grid.xi_axes[k] / safe
-                p_sym[i, k] = np.where(low & (self.grid.xi_sq > 0), sym, 0.0)
-        object.__setattr__(self, "_p_symbol", p_sym)
+        low = g.rxi_sq <= r2
+        safe = np.where(g.rxi_sq > 0, g.rxi_sq, 1.0)
+        keep = g.rdealias_mask
+        pairs = [(i, k) for i in range(g.dim) for k in range(i, g.dim)]
+        # B1: chi(xi) xi_i xi_k / |xi|^2 (zero at the origin) per product
+        # u_i u_k with i <= k, the off-diagonal ones counted twice
+        b1_sym = np.stack([
+            (1.0 if i == k else 2.0)
+            * np.where(low & keep & (g.rxi_sq > 0),
+                       g.rxi_axes[i] * g.rxi_axes[k] / safe, 0.0)
+            for i, k in pairs])
+        # B2: -(1 - chi(xi)) / |xi|^2 on the trace sum_ik d_i u_k d_k u_i
+        b2_sym = np.where(~low & keep, -1.0 / safe, 0.0)
+        object.__setattr__(self, "_pairs", pairs)
+        object.__setattr__(self, "_b1_symbol", b1_sym)
+        object.__setattr__(self, "_b2_symbol", b2_sym)
+
+    # -- half-spectrum core ----------------------------------------------
+
+    def _b1_hat(self, u: np.ndarray) -> np.ndarray:
+        prods = np.stack([u[i] * u[k] for i, k in self._pairs])
+        return np.sum(self._b1_symbol * self.grid.rfft(prods), axis=0)
+
+    def _b2_hat(self, du: np.ndarray) -> np.ndarray:
+        trace = np.einsum("ik...,ki...->...", du, du)
+        return self._b2_symbol * self.grid.rfft(trace)
+
+    def rhs_hat(self, u_hat: np.ndarray) -> np.ndarray:
+        """Half spectrum of grad B(u) - (u . grad) u from that of u."""
+        g = self.grid
+        u = g.irfft(u_hat)
+        du = g.irfft(u_hat[:, None] * g.rderiv)  # du[i, j] = d u_i / d x_j
+        b_hat = self._b1_hat(u) + self._b2_hat(du)
+        adv = g.rfft(sum(du[:, k] * u[k] for k in range(g.dim)))
+        return g.rderiv * b_hat - g.rdealias_mask * adv
 
     # -- the two pieces --------------------------------------------------
 
     def b1(self, u: VectorField) -> ScalarField:
         """Low-pass piece; output spectrally supported on |xi| <= cutoff."""
         self._check(u)
-        hat = np.zeros(self.grid.shape, dtype=np.complex128)
-        for i in range(self.grid.dim):
-            for k in range(i, self.grid.dim):
-                prod = dealias_values(self.grid, u.data[i] * u.data[k])
-                weight = 1.0 if i == k else 2.0
-                hat += weight * self._p_symbol[i, k] * self.grid.fft(prod)
-        return ScalarField.from_hat(self.grid, hat)
+        return ScalarField(self.grid, self.grid.irfft(self._b1_hat(u.data)))
 
     def b2(self, u: VectorField) -> ScalarField:
         """High-pass piece; output spectrally supported on |xi| > cutoff."""
         self._check(u)
-        du = jacobian(u)
-        acc = np.zeros(self.grid.shape)
-        for i in range(self.grid.dim):
-            for k in range(self.grid.dim):
-                acc += du.data[i, k] * du.data[k, i]
-        trace = ScalarField(self.grid, dealias_values(self.grid, acc))
-        return inv_laplace_highpass(trace, radius=self.cutoff)
+        return ScalarField(self.grid, self.grid.irfft(self._b2_hat(jacobian(u).data)))
+
+    def _b_hat(self, u: VectorField) -> np.ndarray:
+        self._check(u)
+        return self._b1_hat(u.data) + self._b2_hat(jacobian(u).data)
 
     def b(self, u: VectorField) -> ScalarField:
-        return self.b1(u) + self.b2(u)
+        return ScalarField(self.grid, self.grid.irfft(self._b_hat(u)))
 
     def grad_b(self, u: VectorField) -> VectorField:
-        return gradient(self.b(u))
+        return VectorField(self.grid,
+                           self.grid.irfft(self.grid.rderiv * self._b_hat(u)))
 
     # -- pressure bridge --------------------------------------------------
 

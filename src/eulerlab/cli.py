@@ -350,8 +350,7 @@ def cmd_illposedness(cfg: RunConfig) -> int:
     if cfg.experiment in ("solution-map", "both"):
         grid = cfg.grid()
         ser = solution_map_experiment(R=cfg.R, k_max=cfg.k_max, s=cfg.s,
-                                      grid=grid, dt=cfg.dt, T=cfg.T,
-                                      seed=cfg.seed)
+                                      grid=grid, dt=cfg.dt, T=cfg.T)
         _series_outputs(ser, out, f"solution_map_R{cfg.R}", cfg.hash())
         if ser.metadata.get("band_truncated"):
             print("warning: series truncated at the resolution watermark")

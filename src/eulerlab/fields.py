@@ -11,7 +11,6 @@ from .spectral import (
     ScalarField,
     VectorField,
     _check_same_grid,
-    dealias_values,
     partial_derivative,
     sobolev_norm,
 )
@@ -32,29 +31,20 @@ __all__ = [
 
 
 def gradient(f: ScalarField) -> VectorField:
-    return VectorField.from_components(
-        [partial_derivative(f, j) for j in range(f.grid.dim)]
-    )
+    grid = f.grid
+    return VectorField(grid, grid.irfft(grid.rderiv * grid.rfft(f.data)))
 
 
 def divergence(u: VectorField) -> ScalarField:
     grid = u.grid
-    hat = np.zeros(grid.shape, dtype=np.complex128)
-    for j in range(grid.dim):
-        hat += 1j * grid.xi_axes[j] * u.hat[j]
-    hat = np.where(grid.nyquist_mask, 0.0, hat)
-    return ScalarField.from_hat(grid, hat)
+    div_hat = np.sum(grid.rderiv * grid.rfft(u.data), axis=0)
+    return ScalarField(grid, grid.irfft(div_hat))
 
 
 def jacobian(u: VectorField) -> MatrixField:
     """Entry (i, j) = d u_i / d x_j, computed spectrally."""
     grid = u.grid
-    hat = np.empty((grid.dim, grid.dim) + grid.shape, dtype=np.complex128)
-    for i in range(grid.dim):
-        for j in range(grid.dim):
-            hat[i, j] = np.where(grid.nyquist_mask, 0.0,
-                                 1j * grid.xi_axes[j] * u.hat[i])
-    return MatrixField.from_hat(grid, hat)
+    return MatrixField(grid, grid.irfft(grid.rfft(u.data)[:, None] * grid.rderiv))
 
 
 def advect(u: VectorField, w: VectorField | None = None) -> VectorField:
@@ -62,14 +52,9 @@ def advect(u: VectorField, w: VectorField | None = None) -> VectorField:
     if w is None:
         w = u
     grid = _check_same_grid(u, w)
-    du = jacobian(w)
-    out = np.zeros_like(u.data)
-    for i in range(grid.dim):
-        acc = np.zeros(grid.shape)
-        for k in range(grid.dim):
-            acc += u.data[k] * du.data[i, k]
-        out[i] = dealias_values(grid, acc)
-    return VectorField(grid, out)
+    du = jacobian(w).data
+    prod = sum(du[:, k] * u.data[k] for k in range(grid.dim))
+    return VectorField(grid, grid.irfft(grid.rdealias_mask * grid.rfft(prod)))
 
 
 def leray_project(u: VectorField) -> VectorField:

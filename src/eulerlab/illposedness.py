@@ -175,8 +175,7 @@ def composition_experiment(R: float = 0.1, k_max: int = 13, s: float = 2.5,
 def solution_map_experiment(R: float = 0.1, k_max: int = 8, s: float = 2.5,
                             grid: Grid | None = None, u_base: VectorField | None = None,
                             q_bar: float = 0.2, rho: float = 0.7,
-                            dt: float = 1e-2, T: float = 1.0,
-                            seed: int = 0) -> SeparationSeries:
+                            dt: float = 1e-2, T: float = 1.0) -> SeparationSeries:
     """Separation series for the time-1 Euler solution map E_1.
 
     Initial pairs: u_k = u_base_smooth + w_k and u~_k = u_k + v_k where

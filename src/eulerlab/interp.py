@@ -51,8 +51,10 @@ class Interpolant:
                            for a in grid.xi_axes], axis=1)
             self._xi_rows = np.ascontiguousarray(xi)
         else:
-            total = float(np.sum(np.abs(field.hat) ** 2))
-            nyq = float(np.sum(np.abs(np.where(grid.nyquist_mask, field.hat, 0.0)) ** 2))
+            hat = grid.rfft(field.data)
+            power = grid.rweight * (hat.real ** 2 + hat.imag ** 2)
+            total = float(np.sum(power))
+            nyq = float(np.sum(np.where(grid.rnyquist_mask, power, 0.0)))
             if total > 0 and nyq > nyquist_warn * total:
                 warnings.warn(
                     "field has significant unpaired Nyquist content; "

@@ -104,7 +104,9 @@ def invert(phi: Diffeo, order=DEFAULT_ORDER, tol: float = 1e-10,
 
     The displacement h of psi solves the fixed-point equation
     h(x) = -g(x + h(x)); iterated with damping, with a Newton step using
-    the interpolated Jacobian of g when the contraction stalls.
+    the interpolated Jacobian of g when the contraction stalls.  Raises
+    BlowUpError at once on a non-finite iterate and RuntimeError when the
+    iteration budget runs out.
     """
     grid = phi.grid
     g_interp = Interpolant(phi.displacement, order=order)
@@ -119,6 +121,9 @@ def invert(phi: Diffeo, order=DEFAULT_ORDER, tol: float = 1e-10,
         res = float(np.max(np.abs(h + gh)))
         if res <= tol:
             return Diffeo(VectorField(grid, h))
+        if not np.isfinite(res):
+            raise BlowUpError(f"non-finite iterate in diffeomorphism inversion "
+                              f"(residual {res})")
         if not newton and res >= 0.5 * prev_res:
             # contraction too slow to hit tol in the iteration budget:
             # switch (permanently) to Newton on F(h) = h + g(x + h)
@@ -256,10 +261,12 @@ def geodesic_solve(u0: VectorField, T: float,
     speeds = [sobolev_norm(u0, 0.0)]
     guess: VectorField | None = None
     for i in range(n_steps):
-        state, guess = _geodesic_step(state, cfg.dt, bb, cfg, guess)
+        try:
+            state, guess = _geodesic_step(state, cfg.dt, bb, cfg, guess)
+        except ValueError as exc:  # folded map or non-finite samples
+            raise BlowUpError(f"geodesic left the smooth regime at "
+                              f"t = {(i + 1) * cfg.dt}: {exc}") from exc
         state = GeodesicState((i + 1) * cfg.dt, state.phi, state.v)
-        if not np.all(np.isfinite(state.v.data)):
-            raise BlowUpError(f"non-finite velocity at t = {state.t}")
         states.append(state)
         speeds.append(sobolev_norm(state.v, 0.0))
     return GeodesicTrajectory(tuple(states), np.array(speeds))

@@ -8,11 +8,14 @@ xi = 2*pi*k/L is
 
 so that a single cosine mode carries coefficients of magnitude 1/2
 independent of the grid.  All Sobolev norms below use this convention.
+The real transforms ``Grid.rfft``/``Grid.irfft`` carry the same
+coefficients on the half lattice 0 <= k_last <= N/2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -28,7 +31,6 @@ __all__ = [
     "chi_symbol",
     "apply_multiplier",
     "chi_cutoff",
-    "inv_laplace_highpass",
     "spectral_truncate",
     "partial_derivative",
     "dealias",
@@ -87,11 +89,40 @@ class Grid:
             keep &= ka <= kmax
             nyq |= np.rint(ka) == self.n // 2
 
-        object.__setattr__(self, "_kint", kint)
         object.__setattr__(self, "xi_axes", tuple(xi_axes))
         object.__setattr__(self, "xi_sq", xi_sq)
         object.__setattr__(self, "dealias_mask", keep)
         object.__setattr__(self, "nyquist_mask", nyq)
+
+        # Half lattice of the real transforms (rfft/irfft): the last axis
+        # keeps the modes 0..n/2.  The dropped modes are the complex
+        # conjugates of kept ones, so a sum of |f_hat|^2 over the full
+        # lattice is the sum over the half lattice weighted by rweight
+        # (1 on the self-conjugate planes 0 and n/2 of the last axis, 2
+        # elsewhere).
+        h = self.n // 2 + 1
+        last = (1,) * (self.dim - 1) + (h,)
+        rxi_last = (2.0 * np.pi / self.length) * np.arange(h, dtype=np.float64)
+        rxi_axes = tuple(xi_axes[:-1]) + (rxi_last.reshape(last),)
+        rnyq = np.ascontiguousarray(nyq[..., :h])
+        weight = np.full(h, 2.0)
+        weight[[0, -1]] = 1.0
+        object.__setattr__(self, "rxi_axes", rxi_axes)
+        object.__setattr__(self, "rxi_sq", np.ascontiguousarray(xi_sq[..., :h]))
+        object.__setattr__(self, "rdealias_mask", np.ascontiguousarray(keep[..., :h]))
+        object.__setattr__(self, "rnyquist_mask", rnyq)
+        object.__setattr__(self, "rweight", weight.reshape(last))
+
+    @cached_property
+    def rderiv(self) -> np.ndarray:
+        """Symbols i xi_j of d/dx_j on the half lattice, shape (dim,) +
+        half shape; zero on the unpaired Nyquist modes, as in
+        ``partial_derivative``."""
+        deriv = np.zeros((self.dim,) + self.rxi_sq.shape, dtype=np.complex128)
+        for j, x in enumerate(self.rxi_axes):
+            deriv[j].imag = x
+        deriv[:, self.rnyquist_mask] = 0.0
+        return deriv
 
     # -- geometry ------------------------------------------------------
 
@@ -129,6 +160,18 @@ class Grid:
     def ifft(self, hat: np.ndarray) -> np.ndarray:
         axes = tuple(range(-self.dim, 0))
         return np.real(np.fft.ifftn(hat, axes=axes)) * self.size
+
+    def rfft(self, values: np.ndarray) -> np.ndarray:
+        """Half spectrum of real samples, normalised as ``fft``."""
+        hat = np.fft.rfftn(values, axes=tuple(range(-self.dim, 0)))
+        hat /= self.size
+        return hat
+
+    def irfft(self, hat: np.ndarray) -> np.ndarray:
+        """Real samples of a half spectrum (inverse of ``rfft``)."""
+        values = np.fft.irfftn(hat, s=self.shape, axes=tuple(range(-self.dim, 0)))
+        values *= self.size
+        return values
 
 
 def _check_same_grid(*objs) -> Grid:
@@ -289,20 +332,6 @@ def chi_cutoff(f: _Field, radius: float = 1.0):
     return apply_multiplier(chi_symbol(radius), f)
 
 
-def inv_laplace_highpass(f: _Field, radius: float = 1.0):
-    """Apply -(1 - chi(xi)) / |xi|^2; zero on |xi| <= radius (and at xi = 0)."""
-    if not radius > 0:
-        raise ValueError(f"cutoff radius must be positive, got {radius}")
-    r2 = radius * radius * (1.0 + 1e-12)
-
-    def sym(xi, xi_sq):
-        outside = xi_sq > r2
-        safe = np.where(outside, xi_sq, 1.0)
-        return np.where(outside, -1.0 / safe, 0.0)
-
-    return apply_multiplier(SpectralMultiplier(sym), f)
-
-
 def spectral_truncate(f: _Field, k: float):
     """Keep modes with |xi| <= k (the operator chi_k(D))."""
     if not k >= 1:
@@ -323,11 +352,6 @@ def partial_derivative(f: _Field, axis: int):
 def dealias(f: _Field):
     """2/3-rule truncation; applied after every pointwise product."""
     return type(f).from_hat(f.grid, np.where(f.grid.dealias_mask, f.hat, 0.0))
-
-
-def dealias_values(grid: Grid, values: np.ndarray) -> np.ndarray:
-    hat = grid.fft(values)
-    return grid.ifft(np.where(grid.dealias_mask, hat, 0.0))
 
 
 # ---------------------------------------------------------------------------

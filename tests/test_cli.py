@@ -7,6 +7,7 @@ import pytest
 from eulerlab.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
+    EXIT_NUMERIC,
     EXIT_OK,
     ConfigError,
     RunConfig,
@@ -109,6 +110,23 @@ class TestSimulate:
                     "--dynamics", "geodesic", "--out", out])
         assert code == EXIT_OK
         assert (out / "final_phi.egl").exists()
+
+    def test_geodesic_folding_step_is_numeric_failure(self, tmp_path):
+        # dt * |du| = 2: the stage maps fold and cannot be inverted
+        code = run(["simulate", "--N", "16", "--dt", "0.1", "--T", "0.1",
+                    "--dynamics", "geodesic", "--initial", "taylor-green",
+                    "--amplitude", "20", "--out", tmp_path / "g"])
+        assert code == EXIT_NUMERIC
+
+    def test_geodesic_orientation_failure_is_numeric(self, tmp_path, monkeypatch):
+        from eulerlab import lagrangian
+        from eulerlab.spectral import ScalarField
+
+        monkeypatch.setattr(lagrangian, "det_jacobian",
+                            lambda phi: ScalarField(phi.grid, -np.ones(phi.grid.shape)))
+        code = run(["simulate", "--N", "16", "--dt", "0.01", "--T", "0.02",
+                    "--dynamics", "geodesic", "--out", tmp_path / "g"])
+        assert code == EXIT_NUMERIC
 
     def test_snapshot_dump_reads_result(self, tmp_path, capsys):
         out = tmp_path / "o"

@@ -5,7 +5,10 @@ import pytest
 
 from eulerlab import (
     BlowUpError,
+    EulerState,
+    Grid,
     StepperConfig,
+    VectorField,
     div_evolution_residual,
     divergence,
     energy,
@@ -13,6 +16,7 @@ from eulerlab import (
     rhs,
     sobolev_norm,
     solve,
+    step,
     taylor_green,
 )
 from eulerlab.bform import BAssembly
@@ -103,3 +107,107 @@ def test_solution_scaling_covariance(grid32, rng):
     a = solve(u0 * c, 0.25, StepperConfig(dt=0.005)).final.u
     b = solve(u0, 0.5, StepperConfig(dt=0.01)).final.u * c
     assert sobolev_norm(a - b, 2.0) < 1e-10 * max(sobolev_norm(b, 2.0), 1e-30)
+
+
+# -- the half-spectrum core against a full-spectrum reference ---------------
+
+
+def _reference_rhs(u, cutoff):
+    """grad B(u) - (u . grad) u on full complex spectra, one product at a
+    time: every product dealiased by an fft -> mask -> ifft round trip,
+    B2 and the advection each from their own Jacobian."""
+    g = u.grid
+    axes = tuple(range(-g.dim, 0))
+
+    def fft(v):
+        return np.fft.fftn(v, axes=axes) / g.size
+
+    def ifft(h):
+        return np.real(np.fft.ifftn(h, axes=axes)) * g.size
+
+    def dealiased(v):
+        return ifft(np.where(g.dealias_mask, fft(v), 0.0))
+
+    def jac(v):
+        v_hat = fft(v)
+        return [[ifft(np.where(g.nyquist_mask, 0.0, 1j * g.xi_axes[j] * v_hat[i]))
+                 for j in range(g.dim)] for i in range(g.dim)]
+
+    r2 = cutoff * cutoff * (1.0 + 1e-12)
+    low = g.xi_sq <= r2
+    safe = np.where(g.xi_sq > 0, g.xi_sq, 1.0)
+    b_hat = np.zeros(g.shape, dtype=complex)
+    for i in range(g.dim):
+        for k in range(g.dim):
+            sym = np.where(low & (g.xi_sq > 0), g.xi_axes[i] * g.xi_axes[k] / safe, 0.0)
+            b_hat += sym * fft(dealiased(u.data[i] * u.data[k]))
+    du = jac(u.data)
+    trace = dealiased(sum(du[i][k] * du[k][i]
+                          for i in range(g.dim) for k in range(g.dim)))
+    b_hat += np.where(low, 0.0, -1.0 / safe) * fft(trace)
+    b = ifft(b_hat)
+    grad_b = [ifft(np.where(g.nyquist_mask, 0.0, 1j * g.xi_axes[j] * fft(b)))
+              for j in range(g.dim)]
+    du = jac(u.data)
+    adv = [dealiased(sum(u.data[k] * du[i][k] for k in range(g.dim)))
+           for i in range(g.dim)]
+    return np.stack(grad_b) - np.stack(adv)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (2, 64), (3, 16)])
+@pytest.mark.parametrize("cutoff", [1.0, 3.0])
+def test_rhs_matches_full_spectrum_reference(dim, n, cutoff, rng):
+    # white noise: not divergence-free, content up to the Nyquist modes
+    grid = Grid(dim=dim, n=n, length=2.0 * np.pi)
+    u = VectorField(grid, 0.3 * rng.standard_normal((dim,) + grid.shape))
+    ref = _reference_rhs(u, cutoff)
+    got = rhs(u, BAssembly(grid, cutoff=cutoff)).data
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk2"])
+def test_solve_is_repeated_step(grid32, rng, method):
+    u0 = random_div_free(grid32, rng, norm_value=0.5)
+    cfg = StepperConfig(dt=0.01, method=method)
+    traj = solve(u0, 0.05, cfg)
+    state = EulerState(0.0, u0)
+    for stored in traj.states[1:]:
+        state = step(state, cfg)
+        assert np.array_equal(state.u.data, stored.u.data)
+
+
+def test_monitors_match_field_norms(grid32, rng):
+    # Hermitian-weighted half-spectrum sums equal the full-spectrum norms,
+    # also for a field with divergence and Nyquist content
+    u0 = VectorField(grid32, 0.1 * rng.standard_normal((2,) + grid32.shape))
+    cfg = StepperConfig(dt=0.01, s_monitor=2.5)
+    traj = solve(u0, 0.02, cfg)
+    for i, st in enumerate(traj.states):
+        assert traj.energies[i] == pytest.approx(energy(st.u), rel=1e-12)
+        assert traj.norms[i] == pytest.approx(sobolev_norm(st.u, 2.5), rel=1e-12)
+        assert traj.div_drifts[i] == pytest.approx(
+            sobolev_norm(divergence(st.u), 1.5), rel=1e-12)
+
+
+def test_rhs_hat_transform_count(grid32, rng, monkeypatch):
+    # 2D: u and du inverse (2 + 4 planes); the 3 B1 products, the B2
+    # trace and the 2 advection components forward (6 planes)
+    planes = {"rfft": 0, "irfft": 0, "fft": 0, "ifft": 0}
+    half = grid32.rxi_sq.size
+
+    def counted(name, per_plane):
+        orig = getattr(Grid, name)
+
+        def wrapper(self, arr):
+            planes[name] += np.size(arr) // per_plane
+            return orig(self, arr)
+        monkeypatch.setattr(Grid, name, wrapper)
+
+    for name, per_plane in (("rfft", grid32.size), ("irfft", half),
+                            ("fft", grid32.size), ("ifft", grid32.size)):
+        counted(name, per_plane)
+    bb = BAssembly(grid32)
+    u_hat = grid32.rfft(random_div_free(grid32, rng).data)
+    planes.update(dict.fromkeys(planes, 0))
+    bb.rhs_hat(u_hat)
+    assert planes == {"rfft": 6, "irfft": 6, "fft": 0, "ifft": 0}

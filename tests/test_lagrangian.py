@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from eulerlab import (
+    BAssembly,
+    BlowUpError,
     Diffeo,
     GeodesicConfig,
     StepperConfig,
@@ -20,6 +22,7 @@ from eulerlab import (
     invert,
     random_div_free,
     random_scalar,
+    ScalarField,
     shift,
     sobolev_norm,
     solve,
@@ -27,6 +30,7 @@ from eulerlab import (
     vorticity,
     vorticity_pullback,
 )
+from eulerlab import lagrangian
 
 TAU = 2.0 * np.pi
 
@@ -138,6 +142,42 @@ class TestGeodesic:
     def test_exp_map_at_zero_time_is_identity(self, grid16, rng):
         u0 = random_div_free(grid16, rng)
         assert np.max(np.abs(exp_map(u0, 0.0).displacement.data)) == 0.0
+
+
+class TestGeodesicFailures:
+    """Every numerical failure inside a geodesic step surfaces from
+    geodesic_solve as BlowUpError."""
+
+    def test_folded_map(self, grid16, rng, monkeypatch):
+        # check_orientation's own ValueError, forced by a negative det
+        monkeypatch.setattr(lagrangian, "det_jacobian",
+                            lambda phi: ScalarField(phi.grid, -np.ones(phi.grid.shape)))
+        u0 = random_div_free(grid16, rng, norm_value=0.2)
+        with pytest.raises(BlowUpError) as err:
+            geodesic_solve(u0, 0.1, GeodesicConfig(dt=0.05))
+        assert isinstance(err.value.__cause__, ValueError)
+        assert "orientation" in str(err.value)
+
+    def test_non_finite_velocity(self, grid16, rng, monkeypatch):
+        # an overflowing acceleration reaches the field constructor
+        monkeypatch.setattr(BAssembly, "grad_b", lambda self, u: VectorField(
+            u.grid, np.full((2,) + u.grid.shape, 1e308)))
+        u0 = random_div_free(grid16, rng, norm_value=0.2)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(BlowUpError) as err:
+            geodesic_solve(u0, 0.1, GeodesicConfig(dt=0.05))
+        assert isinstance(err.value.__cause__, ValueError)
+        assert "non-finite" in str(err.value)
+
+    def test_non_finite_newton_iterate(self, grid16, rng, monkeypatch):
+        # an unreachable tolerance stalls the contraction, so Newton fires;
+        # its solve is replaced by one returning NaN
+        solve_ = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda a, b: np.full_like(solve_(a, b), np.nan))
+        u0 = random_div_free(grid16, rng, norm_value=0.2)
+        with pytest.raises(BlowUpError, match="non-finite iterate"):
+            geodesic_solve(u0, 0.1, GeodesicConfig(dt=0.05, inversion_tol=1e-300))
 
 
 class TestFlowAndPullback:

@@ -50,6 +50,28 @@ class TestGrid:
         g = Grid(dim=2, n=16, length=4.0 * np.pi)
         assert np.isclose(np.sort(g.xi_axes[0].ravel())[g.n // 2 + 1], 0.5)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_half_spectrum_matches_full(self, dim, rng):
+        g = Grid(dim=dim, n=8, length=4.0 * np.pi)
+        data = rng.standard_normal((2,) + g.shape)
+        full, half = g.fft(data), g.rfft(data)
+        h = g.n // 2 + 1
+        assert np.max(np.abs(half - full[..., :h])) < 1e-15
+        assert np.max(np.abs(g.irfft(half) - data)) < 1e-13
+        for name in ("xi_sq", "dealias_mask", "nyquist_mask"):
+            assert np.array_equal(getattr(g, "r" + name), getattr(g, name)[..., :h])
+        # Hermitian weights: half-lattice power sums are full-lattice sums
+        power = np.abs(full) ** 2
+        rpower = g.rweight * np.abs(half) ** 2
+        assert np.sum(rpower) == pytest.approx(np.sum(power), rel=1e-13)
+        assert np.sum(rpower[..., g.rnyquist_mask]) == pytest.approx(
+            np.sum(power[..., g.nyquist_mask]), rel=1e-13)
+        # rderiv is partial_derivative on the half lattice
+        f = ScalarField(g, data[0])
+        for j in range(dim):
+            assert np.max(np.abs(g.irfft(g.rderiv[j] * g.rfft(f.data))
+                                 - partial_derivative(f, j).data)) < 1e-12
+
 
 class TestSobolevNorm:
     def test_cosine_exact_values(self, grid16):
