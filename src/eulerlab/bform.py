@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import advect, divergence, jacobian, leray_project
-from .spectral import Grid, ScalarField, VectorField, sobolev_norm
+from .spectral import Grid, ScalarField, VectorField, chi_symbol, sobolev_norm
 
 __all__ = ["BAssembly"]
 
@@ -41,20 +41,17 @@ class BAssembly:
     cutoff: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.cutoff > 0:
-            raise ValueError(f"cutoff must be positive, got {self.cutoff}")
         g = self.grid
-        r2 = self.cutoff * self.cutoff * (1.0 + 1e-12)
-        low = g.rxi_sq <= r2
-        safe = np.where(g.rxi_sq > 0, g.rxi_sq, 1.0)
-        keep = g.rdealias_mask
+        low = chi_symbol(self.cutoff).on(g) > 0  # rejects a cutoff <= 0
+        safe = np.where(g.xi_sq > 0, g.xi_sq, 1.0)
+        keep = g.dealias_mask
         pairs = [(i, k) for i in range(g.dim) for k in range(i, g.dim)]
         # B1: chi(xi) xi_i xi_k / |xi|^2 (zero at the origin) per product
         # u_i u_k with i <= k, the off-diagonal ones counted twice
         b1_sym = np.stack([
             (1.0 if i == k else 2.0)
-            * np.where(low & keep & (g.rxi_sq > 0),
-                       g.rxi_axes[i] * g.rxi_axes[k] / safe, 0.0)
+            * np.where(low & keep & (g.xi_sq > 0),
+                       g.xi_axes[i] * g.xi_axes[k] / safe, 0.0)
             for i, k in pairs])
         # B2: -(1 - chi(xi)) / |xi|^2 on the trace sum_ik d_i u_k d_k u_i
         b2_sym = np.where(~low & keep, -1.0 / safe, 0.0)
@@ -76,10 +73,10 @@ class BAssembly:
         """Half spectrum of grad B(u) - (u . grad) u from that of u."""
         g = self.grid
         u = g.irfft(u_hat)
-        du = g.irfft(u_hat[:, None] * g.rderiv)  # du[i, j] = d u_i / d x_j
+        du = g.irfft(u_hat[:, None] * g.deriv)  # du[i, j] = d u_i / d x_j
         b_hat = self._b1_hat(u) + self._b2_hat(du)
         adv = g.rfft(sum(du[:, k] * u[k] for k in range(g.dim)))
-        return g.rderiv * b_hat - g.rdealias_mask * adv
+        return g.deriv * b_hat - g.dealias_mask * adv
 
     # -- the two pieces --------------------------------------------------
 
@@ -102,7 +99,7 @@ class BAssembly:
 
     def grad_b(self, u: VectorField) -> VectorField:
         return VectorField(self.grid,
-                           self.grid.irfft(self.grid.rderiv * self._b_hat(u)))
+                           self.grid.irfft(self.grid.deriv * self._b_hat(u)))
 
     # -- pressure bridge --------------------------------------------------
 

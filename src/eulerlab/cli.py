@@ -435,22 +435,18 @@ def main(argv: list[str] | None = None) -> int:
                  if k not in ("command", "config") and v is not None}
     try:
         cfg = load_config(args.config, overrides)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
         if args.command == "simulate":
             return cmd_simulate(cfg)
         if args.command == "verify":
             return cmd_verify(cfg)
         return cmd_illposedness(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (BlowUpError, RuntimeError, FloatingPointError) as exc:
+    except (BlowUpError, RuntimeError, FloatingPointError,
+            np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except ValueError as exc:  # ConfigError and rejected run parameters
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

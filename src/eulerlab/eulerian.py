@@ -121,13 +121,13 @@ def step(state: EulerState, cfg: StepperConfig,
 def _monitors(grid: Grid, s: float):
     """Energy, H^s norm and H^(s-1) norm of the divergence of a velocity
     half spectrum: sums over the half lattice with Hermitian weights."""
-    w = grid.rweight
-    w_s = w * (1.0 + grid.rxi_sq) ** s
-    w_div = w * (1.0 + grid.rxi_sq) ** (s - 1.0)
+    w = grid.weight
+    w_s = w * (1.0 + grid.xi_sq) ** s
+    w_div = w * (1.0 + grid.xi_sq) ** (s - 1.0)
 
     def measure(u_hat: np.ndarray) -> tuple[float, float, float]:
         power = np.sum(u_hat.real ** 2 + u_hat.imag ** 2, axis=0)
-        div = np.sum(grid.rderiv * u_hat, axis=0)
+        div = np.sum(grid.deriv * u_hat, axis=0)
         return (float(np.sum(w * power)),
                 float(np.sqrt(np.sum(w_s * power))),
                 float(np.sqrt(np.sum(w_div * (div.real ** 2 + div.imag ** 2)))))
@@ -190,16 +190,18 @@ def div_evolution_residual(u: VectorField, cutoff: float = 1.0) -> ScalarField:
     a factor of div u.  Products are dealiased by the 2/3 rule.
     """
     grid = u.grid
-    d_hat = np.sum(grid.rderiv * grid.rfft(u.data), axis=0)
+    d_hat = np.sum(grid.deriv * grid.rfft(u.data), axis=0)
     d = grid.irfft(d_hat)
-    grad_d = grid.irfft(grid.rderiv * d_hat)
-    keep = grid.rdealias_mask
+    grad_d = grid.irfft(grid.deriv * d_hat)
+    keep = grid.dealias_mask
     adv = keep * grid.rfft(np.sum(u.data * grad_d, axis=0))
     sq = keep * grid.rfft(d * d)
-    low = chi_symbol(cutoff).symbol(grid.rxi_axes, grid.rxi_sq)
+    low = chi_symbol(cutoff).on(grid)
     return ScalarField(grid, grid.irfft(low * (2.0 * adv + sq) - adv))
 
 
 def energy(u: VectorField) -> float:
-    """Squared L^2 norm sum_k |u_hat_k|^2 (Parseval, grid-size normalized)."""
-    return float(np.sum(np.abs(u.hat) ** 2))
+    """Squared L^2 norm sum_k |u_hat_k|^2 over the full lattice (Parseval,
+    grid-size normalized)."""
+    hat = u.hat
+    return float(np.sum(u.grid.weight * (hat.real ** 2 + hat.imag ** 2)))

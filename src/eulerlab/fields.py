@@ -12,6 +12,7 @@ from .spectral import (
     VectorField,
     _check_same_grid,
     partial_derivative,
+    random_scalar,
     sobolev_norm,
 )
 
@@ -32,19 +33,19 @@ __all__ = [
 
 def gradient(f: ScalarField) -> VectorField:
     grid = f.grid
-    return VectorField(grid, grid.irfft(grid.rderiv * grid.rfft(f.data)))
+    return VectorField(grid, grid.irfft(grid.deriv * grid.rfft(f.data)))
 
 
 def divergence(u: VectorField) -> ScalarField:
     grid = u.grid
-    div_hat = np.sum(grid.rderiv * grid.rfft(u.data), axis=0)
+    div_hat = np.sum(grid.deriv * grid.rfft(u.data), axis=0)
     return ScalarField(grid, grid.irfft(div_hat))
 
 
 def jacobian(u: VectorField) -> MatrixField:
     """Entry (i, j) = d u_i / d x_j, computed spectrally."""
     grid = u.grid
-    return MatrixField(grid, grid.irfft(grid.rfft(u.data)[:, None] * grid.rderiv))
+    return MatrixField(grid, grid.irfft(grid.rfft(u.data)[:, None] * grid.deriv))
 
 
 def advect(u: VectorField, w: VectorField | None = None) -> VectorField:
@@ -54,7 +55,7 @@ def advect(u: VectorField, w: VectorField | None = None) -> VectorField:
     grid = _check_same_grid(u, w)
     du = jacobian(w).data
     prod = sum(du[:, k] * u.data[k] for k in range(grid.dim))
-    return VectorField(grid, grid.irfft(grid.rdealias_mask * grid.rfft(prod)))
+    return VectorField(grid, grid.irfft(grid.dealias_mask * grid.rfft(prod)))
 
 
 def leray_project(u: VectorField) -> VectorField:
@@ -93,9 +94,9 @@ def biot_savart(omega: MatrixField, skew_tol: float = 1e-8) -> VectorField:
     if scale > 0 and np.max(mean) > skew_tol * scale:
         raise ValueError("biot_savart requires a mean-free vorticity")
     safe = np.where(grid.xi_sq > 0, grid.xi_sq, 1.0)
-    hat = np.zeros((grid.dim,) + grid.shape, dtype=np.complex128)
+    hat = np.zeros((grid.dim,) + grid.xi_sq.shape, dtype=np.complex128)
     for ell in range(grid.dim):
-        acc = np.zeros(grid.shape, dtype=np.complex128)
+        acc = np.zeros(grid.xi_sq.shape, dtype=np.complex128)
         for j in range(grid.dim):
             acc += omega.hat[ell, j] * grid.xi_axes[j]
         hat[ell] = np.where(grid.xi_sq > 0, -1j * acc / safe, 0.0)
@@ -240,8 +241,6 @@ def random_div_free(grid: Grid, rng: np.random.Generator, s: float = 3.0,
                     norm_value: float = 1.0, max_xi: float | None = None,
                     decay: float = 2.0) -> VectorField:
     """Random smooth mean-free divergence-free field with ||u||_s = norm_value."""
-    from .spectral import random_scalar
-
     comps = [random_scalar(grid, rng, max_xi=max_xi, decay=decay)
              for _ in range(grid.dim)]
     u = leray_project(VectorField.from_components(comps))

@@ -16,6 +16,7 @@ parameters are desk-scaled versions of the idealized ones (see README).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +24,7 @@ import numpy as np
 from .eulerian import StepperConfig, solve
 from .fields import bump, div_free_bump, vorticity
 from .lagrangian import Diffeo, GeodesicConfig, compose, exp_map, invert
-from .spectral import Grid, ScalarField, VectorField, sobolev_norm
+from .spectral import Grid, ScalarField, VectorField, chi_cutoff, sobolev_norm
 
 __all__ = [
     "SeparationSeries",
@@ -133,8 +134,6 @@ def composition_experiment(R: float = 0.1, k_max: int = 13, s: float = 2.5,
     dphi = VectorField(grid, np.stack([prof, np.zeros(grid.shape)]))
     dphi_norm = sobolev_norm(dphi, s)
 
-    import warnings
-
     ks = np.arange(1, k_max + 1)
     in_gap = np.empty(k_max)
     out_gap = np.empty(k_max)
@@ -202,7 +201,6 @@ def solution_map_experiment(R: float = 0.1, k_max: int = 8, s: float = 2.5,
         u_base = div_free_bump(grid, [0.25 * L, 0.25 * L], r=1.2, s=s,
                                norm_value=0.25)
     # smooth the base to the comfortably resolved band
-    from .spectral import chi_cutoff
     xi_band = (grid.n // 3) * 2.0 * np.pi / grid.length
     u0_base = chi_cutoff(u_base, radius=0.5 * xi_band)
 
@@ -284,8 +282,6 @@ def dexp_richardson(u0: VectorField, v: VectorField, eps: float,
     """(estimate, disagreement): the eps and eps/2 finite differences and
     their H^s distance.  A disagreement far above the expected 4x
     reduction of the eps^2 error signals a round-off dominated eps."""
-    import warnings
-
     d1 = dexp_fd(u0, v, eps, cfg=cfg)
     d2 = dexp_fd(u0, v, 0.5 * eps, cfg=cfg)
     gap = sobolev_norm(d1 - d2, s)

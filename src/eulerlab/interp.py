@@ -43,18 +43,21 @@ class Interpolant:
         self.order = order
         self._comp_shape = field.data.shape[: field.data.ndim - grid.dim]
         if order == "fourier":
-            hat = field.hat.reshape((-1,) + grid.shape)
-            flat = hat.reshape(hat.shape[0], -1)
+            # Full lattice: off the grid points the half lattice's +N/2 sign
+            # of an unpaired Nyquist mode would change the trig sum.
+            hat = np.fft.fftn(field.data, axes=tuple(range(-grid.dim, 0))) / grid.size
+            flat = hat.reshape(-1, grid.size)
             live = np.any(np.abs(flat) > 1e-300, axis=0)
             self._hat_rows = np.ascontiguousarray(flat[:, live])
-            xi = np.stack([np.broadcast_to(a, grid.shape).ravel()[live]
-                           for a in grid.xi_axes], axis=1)
-            self._xi_rows = np.ascontiguousarray(xi)
+            xi = (2.0 * np.pi / grid.length) * np.fft.fftfreq(grid.n, 1.0 / grid.n)
+            self._xi_rows = np.stack([a.ravel()[live] for a in
+                                      np.meshgrid(*[xi] * grid.dim, indexing="ij")],
+                                     axis=1)
         else:
             hat = grid.rfft(field.data)
-            power = grid.rweight * (hat.real ** 2 + hat.imag ** 2)
+            power = grid.weight * (hat.real ** 2 + hat.imag ** 2)
             total = float(np.sum(power))
-            nyq = float(np.sum(np.where(grid.rnyquist_mask, power, 0.0)))
+            nyq = float(np.sum(np.where(grid.nyquist_mask, power, 0.0)))
             if total > 0 and nyq > nyquist_warn * total:
                 warnings.warn(
                     "field has significant unpaired Nyquist content; "

@@ -105,8 +105,8 @@ def invert(phi: Diffeo, order=DEFAULT_ORDER, tol: float = 1e-10,
     The displacement h of psi solves the fixed-point equation
     h(x) = -g(x + h(x)); iterated with damping, with a Newton step using
     the interpolated Jacobian of g when the contraction stalls.  Raises
-    BlowUpError at once on a non-finite iterate and RuntimeError when the
-    iteration budget runs out.
+    BlowUpError at once on a non-finite iterate, and RuntimeError when the
+    iteration budget runs out or a Newton step raises the residual.
     """
     grid = phi.grid
     g_interp = Interpolant(phi.displacement, order=order)
@@ -115,8 +115,9 @@ def invert(phi: Diffeo, order=DEFAULT_ORDER, tol: float = 1e-10,
 
     dg_interp = None
     newton = False
-    prev_res = np.inf
-    for _ in range(max_iter):
+    prev_res = res = np.inf
+    it = 0
+    for it in range(1, max_iter + 1):
         gh = g_interp.at(x + h)
         res = float(np.max(np.abs(h + gh)))
         if res <= tol:
@@ -124,6 +125,8 @@ def invert(phi: Diffeo, order=DEFAULT_ORDER, tol: float = 1e-10,
         if not np.isfinite(res):
             raise BlowUpError(f"non-finite iterate in diffeomorphism inversion "
                               f"(residual {res})")
+        if newton and res > prev_res:
+            break  # Newton diverges: the map is folded, not slow
         if not newton and res >= 0.5 * prev_res:
             # contraction too slow to hit tol in the iteration budget:
             # switch (permanently) to Newton on F(h) = h + g(x + h)
@@ -140,8 +143,8 @@ def invert(phi: Diffeo, order=DEFAULT_ORDER, tol: float = 1e-10,
             h = -gh
         prev_res = res
     raise RuntimeError(
-        f"diffeomorphism inversion did not reach {tol:.1e} in {max_iter} "
-        f"iterations (residual {prev_res:.3e})"
+        f"diffeomorphism inversion did not reach {tol:.1e} in {it} "
+        f"iterations (residual {res:.3e})"
     )
 
 

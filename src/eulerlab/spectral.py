@@ -8,8 +8,11 @@ xi = 2*pi*k/L is
 
 so that a single cosine mode carries coefficients of magnitude 1/2
 independent of the grid.  All Sobolev norms below use this convention.
-The real transforms ``Grid.rfft``/``Grid.irfft`` carry the same
-coefficients on the half lattice 0 <= k_last <= N/2.
+
+Fields are real, so f_hat[-k] = conj(f_hat[k]) and the half lattice
+0 <= k_last <= N/2 of ``Grid.rfft`` holds every coefficient; all
+spectra, symbols and masks here live on it.  A sum over the full lattice
+is the sum over the half lattice weighted by ``Grid.weight``.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ class GridMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform periodic grid on [0, L)^dim together with its frequency lattice.
+    """Uniform periodic grid on [0, L)^dim together with its half frequency
+    lattice.
 
     Parameters
     ----------
@@ -71,57 +75,41 @@ class Grid:
         if not (self.length > 0 and np.isfinite(self.length)):
             raise ValueError(f"length must be positive, got {self.length}")
 
+        # Half lattice: every axis but the last carries the modes
+        # -n/2..n/2-1 (fftfreq order), the last one 0..n/2.  The dropped
+        # modes are the complex conjugates of kept ones, so a sum of
+        # |f_hat|^2 over the full lattice is the sum over the half lattice
+        # weighted by ``weight`` (1 on the self-conjugate planes 0 and n/2
+        # of the last axis, 2 elsewhere).
+        h = self.n // 2 + 1
         kint = np.rint(np.fft.fftfreq(self.n) * self.n).astype(np.int64)
-        # Broadcastable physical wavenumber along each axis.
-        xi_axes = []
-        for j in range(self.dim):
-            shape = [1] * self.dim
-            shape[j] = self.n
-            xi_axes.append((2.0 * np.pi / self.length) * kint.reshape(shape))
-        xi_sq = sum(x * x for x in xi_axes)
         kmax = self.n // 3  # 2/3-rule retention limit (integer modes)
-        keep = np.ones((self.n,) * self.dim, dtype=bool)
-        nyq = np.zeros_like(keep)
+        xi_axes, keep, nyq = [], True, False
         for j in range(self.dim):
+            k = kint if j < self.dim - 1 else np.arange(h)
             shape = [1] * self.dim
-            shape[j] = self.n
-            ka = np.abs(kint).reshape(shape)
-            keep &= ka <= kmax
-            nyq |= np.rint(ka) == self.n // 2
+            shape[j] = k.size
+            k = k.reshape(shape)
+            xi_axes.append((2.0 * np.pi / self.length) * k)
+            keep = keep & (np.abs(k) <= kmax)
+            nyq = nyq | (np.abs(k) == self.n // 2)
+        weight = np.full((1,) * (self.dim - 1) + (h,), 2.0)
+        weight[..., [0, -1]] = 1.0
 
         object.__setattr__(self, "xi_axes", tuple(xi_axes))
-        object.__setattr__(self, "xi_sq", xi_sq)
+        object.__setattr__(self, "xi_sq", sum(x * x for x in xi_axes))
         object.__setattr__(self, "dealias_mask", keep)
         object.__setattr__(self, "nyquist_mask", nyq)
-
-        # Half lattice of the real transforms (rfft/irfft): the last axis
-        # keeps the modes 0..n/2.  The dropped modes are the complex
-        # conjugates of kept ones, so a sum of |f_hat|^2 over the full
-        # lattice is the sum over the half lattice weighted by rweight
-        # (1 on the self-conjugate planes 0 and n/2 of the last axis, 2
-        # elsewhere).
-        h = self.n // 2 + 1
-        last = (1,) * (self.dim - 1) + (h,)
-        rxi_last = (2.0 * np.pi / self.length) * np.arange(h, dtype=np.float64)
-        rxi_axes = tuple(xi_axes[:-1]) + (rxi_last.reshape(last),)
-        rnyq = np.ascontiguousarray(nyq[..., :h])
-        weight = np.full(h, 2.0)
-        weight[[0, -1]] = 1.0
-        object.__setattr__(self, "rxi_axes", rxi_axes)
-        object.__setattr__(self, "rxi_sq", np.ascontiguousarray(xi_sq[..., :h]))
-        object.__setattr__(self, "rdealias_mask", np.ascontiguousarray(keep[..., :h]))
-        object.__setattr__(self, "rnyquist_mask", rnyq)
-        object.__setattr__(self, "rweight", weight.reshape(last))
+        object.__setattr__(self, "weight", weight)
 
     @cached_property
-    def rderiv(self) -> np.ndarray:
-        """Symbols i xi_j of d/dx_j on the half lattice, shape (dim,) +
-        half shape; zero on the unpaired Nyquist modes, as in
-        ``partial_derivative``."""
-        deriv = np.zeros((self.dim,) + self.rxi_sq.shape, dtype=np.complex128)
-        for j, x in enumerate(self.rxi_axes):
+    def deriv(self) -> np.ndarray:
+        """Symbols i xi_j of d/dx_j, shape (dim,) + half-lattice shape;
+        zero on the unpaired Nyquist modes."""
+        deriv = np.zeros((self.dim,) + self.xi_sq.shape, dtype=np.complex128)
+        for j, x in enumerate(self.xi_axes):
             deriv[j].imag = x
-        deriv[:, self.rnyquist_mask] = 0.0
+        deriv[:, self.nyquist_mask] = 0.0
         return deriv
 
     # -- geometry ------------------------------------------------------
@@ -153,16 +141,8 @@ class Grid:
 
     # -- transforms ----------------------------------------------------
 
-    def fft(self, values: np.ndarray) -> np.ndarray:
-        axes = tuple(range(-self.dim, 0))
-        return np.fft.fftn(values, axes=axes) / self.size
-
-    def ifft(self, hat: np.ndarray) -> np.ndarray:
-        axes = tuple(range(-self.dim, 0))
-        return np.real(np.fft.ifftn(hat, axes=axes)) * self.size
-
     def rfft(self, values: np.ndarray) -> np.ndarray:
-        """Half spectrum of real samples, normalised as ``fft``."""
+        """Half spectrum of real samples over the last ``dim`` axes."""
         hat = np.fft.rfftn(values, axes=tuple(range(-self.dim, 0)))
         hat /= self.size
         return hat
@@ -207,13 +187,16 @@ class _Field:
     @property
     def hat(self) -> np.ndarray:
         if self._hat is None:
-            self._hat = self.grid.fft(self.data)
+            self._hat = self.grid.rfft(self.data)
         return self._hat
 
     @classmethod
     def from_hat(cls, grid: Grid, hat: np.ndarray):
         hat = np.asarray(hat, dtype=np.complex128)
-        return cls(grid, grid.ifft(hat), hat=hat)
+        expected = (grid.dim,) * cls._comp_axes + grid.xi_sq.shape
+        if hat.shape != expected:
+            raise ValueError(f"{cls.__name__} spectrum shape {hat.shape} != {expected}")
+        return cls(grid, grid.irfft(hat), hat=hat)
 
     # basic vector-space arithmetic (kept minimal; heavy lifting is in ops)
     def __add__(self, other):
@@ -298,7 +281,7 @@ class MatrixField(_Field):
 
 @dataclass(frozen=True)
 class SpectralMultiplier:
-    """Real even symbol m(xi) applied pointwise on the frequency lattice.
+    """Real even symbol m(xi) applied pointwise on the half lattice.
 
     ``symbol`` receives the broadcastable wavenumber arrays (one per axis)
     plus |xi|^2 and must return a real array; its value at xi = 0 must be
@@ -309,7 +292,7 @@ class SpectralMultiplier:
 
     def on(self, grid: Grid) -> np.ndarray:
         m = np.asarray(self.symbol(grid.xi_axes, grid.xi_sq), dtype=np.float64)
-        m = np.broadcast_to(m, grid.shape)
+        m = np.broadcast_to(m, grid.xi_sq.shape)
         if not np.all(np.isfinite(m)):
             raise ValueError("multiplier symbol evaluated to a non-finite value")
         return m
@@ -344,9 +327,7 @@ def partial_derivative(f: _Field, axis: int):
     grid = f.grid
     if not 0 <= axis < grid.dim:
         raise ValueError(f"axis must be in [0, {grid.dim}), got {axis}")
-    hat = f.hat * (1j * grid.xi_axes[axis])
-    hat = np.where(grid.nyquist_mask, 0.0, hat)
-    return type(f).from_hat(grid, hat)
+    return type(f).from_hat(grid, f.hat * grid.deriv[axis])
 
 
 def dealias(f: _Field):
@@ -360,18 +341,21 @@ def dealias(f: _Field):
 
 
 def _sobolev_weight(grid: Grid, s: float) -> np.ndarray:
-    return (1.0 + grid.xi_sq) ** s
+    """(1+|xi|^2)^s times the Hermitian weight of each half-lattice mode."""
+    return grid.weight * (1.0 + grid.xi_sq) ** s
 
 
 def sobolev_norm(f: _Field, s: float) -> float:
-    """H^s norm ( sum_k (1+|xi_k|^2)^s |f_hat_k|^2 )^(1/2).
+    """H^s norm ( sum_k (1+|xi_k|^2)^s |f_hat_k|^2 )^(1/2), k over the
+    full lattice.
 
     Vector and matrix fields sum the squared norms of their components.
     """
     if not np.isfinite(s):
         raise ValueError("s must be finite")
+    hat = f.hat
     w = _sobolev_weight(f.grid, s)
-    return float(np.sqrt(np.sum(w * np.abs(f.hat) ** 2)))
+    return float(np.sqrt(np.sum(w * (hat.real ** 2 + hat.imag ** 2))))
 
 
 def sobolev_inner(f: _Field, g: _Field, s: float = 0.0) -> float:
@@ -379,7 +363,7 @@ def sobolev_inner(f: _Field, g: _Field, s: float = 0.0) -> float:
     if type(f) is not type(g):
         raise TypeError("inner product requires fields of the same kind")
     w = _sobolev_weight(f.grid, s)
-    return float(np.real(np.sum(w * f.hat * np.conj(g.hat))))
+    return float(np.sum(w * (f.hat * np.conj(g.hat)).real))
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +382,7 @@ def random_scalar(grid: Grid, rng: np.random.Generator, max_xi: float | None = N
     if max_xi is None:
         max_xi = 0.8 * (grid.n // 3) * (2.0 * np.pi / grid.length)
     w = rng.standard_normal(grid.shape)
-    hat = grid.fft(w) * (1.0 + grid.xi_sq) ** (-decay / 2.0)
+    hat = grid.rfft(w) * (1.0 + grid.xi_sq) ** (-decay / 2.0)
     hat = np.where(grid.xi_sq <= max_xi**2, hat, 0.0)
     hat.flat[0] = 0.0
     f = ScalarField.from_hat(grid, hat)

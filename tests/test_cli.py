@@ -67,6 +67,24 @@ class TestExitCodes:
     def test_snapshot_dump_missing_file_is_2(self):
         assert run(["snapshot-dump", "/nonexistent.egl"]) == EXIT_CONFIG
 
+    def test_carrier_beyond_band_is_2(self, tmp_path, capsys):
+        code = run(["illposedness", "--experiment", "solution-map", "--N", "16",
+                    "--R", "0.01", "--out", tmp_path / "s"])
+        assert code == EXIT_CONFIG
+        assert "config error: carrier" in capsys.readouterr().err
+
+    def test_box_too_small_is_2(self, tmp_path, capsys):
+        code = run(["illposedness", "--experiment", "composition", "--N", "16",
+                    "--L", "3", "--out", tmp_path / "c"])
+        assert code == EXIT_CONFIG
+        assert "config error: box length" in capsys.readouterr().err
+
+    def test_time_not_multiple_of_dt_is_2(self, tmp_path, capsys):
+        code = run(["simulate", "--N", "16", "--T", "0.0015", "--dt", "0.001",
+                    "--out", tmp_path / "o"])
+        assert code == EXIT_CONFIG
+        assert "not a multiple of dt" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_writes_outputs(self, tmp_path):
@@ -126,6 +144,17 @@ class TestSimulate:
                             lambda phi: ScalarField(phi.grid, -np.ones(phi.grid.shape)))
         code = run(["simulate", "--N", "16", "--dt", "0.01", "--T", "0.02",
                     "--dynamics", "geodesic", "--out", tmp_path / "g"])
+        assert code == EXIT_NUMERIC
+
+    def test_singular_newton_system_is_numeric(self, tmp_path, monkeypatch):
+        # LinAlgError is a ValueError, but not a rejected parameter
+        from eulerlab import cli
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("Singular matrix")
+        monkeypatch.setattr(cli, "solve", singular)
+        code = run(["simulate", "--N", "16", "--dt", "0.01", "--T", "0.02",
+                    "--out", tmp_path / "o"])
         assert code == EXIT_NUMERIC
 
     def test_snapshot_dump_reads_result(self, tmp_path, capsys):

@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 from eulerlab import (
     Grid,
     ScalarField,
+    VectorField,
     advect,
     biot_savart,
     bump,
+    chi_cutoff,
     div_free_bump,
     divergence,
+    energy,
     gradient,
     jacobian,
     leray_project,
@@ -21,10 +24,14 @@ from eulerlab import (
     plateau,
     random_div_free,
     random_scalar,
+    sobolev_inner,
     sobolev_norm,
     taylor_green,
     vorticity,
 )
+from eulerlab.fields import _mollifier_profile
+
+from conftest import FullLattice
 
 TAU = 2.0 * np.pi
 
@@ -40,7 +47,8 @@ class TestDerivatives:
     def test_divergence_of_gradient_is_laplacian(self, grid16, rng):
         f = random_scalar(grid16, rng)
         lap = divergence(gradient(f))
-        expect = grid16.ifft(-grid16.xi_sq * grid16.fft(f.data)).real
+        full = FullLattice(grid16)
+        expect = full.ifft(-full.xi_sq * full.fft(f.data)).real
         assert np.max(np.abs(lap.data - expect)) < 1e-12
 
     def test_jacobian_entries(self, grid32, rng):
@@ -162,8 +170,9 @@ def test_taylor_green_is_divergence_free_eigenfield(grid32):
     u = taylor_green(grid32)
     assert sobolev_norm(divergence(u), 1.0) < 1e-13
     # eigenfunction of the Laplacian with |xi|^2 = 2
+    full = FullLattice(grid32)
     lap = np.stack([
-        grid32.ifft(-grid32.xi_sq * grid32.fft(u.data[i])).real
+        full.ifft(-full.xi_sq * full.fft(u.data[i])).real
         for i in range(2)
     ])
     assert np.max(np.abs(lap + 2.0 * u.data)) < 1e-12
@@ -173,3 +182,62 @@ def test_random_div_free_normalization(grid16, rng):
     u = random_div_free(grid16, rng, s=3.0, norm_value=0.5)
     assert abs(sobolev_norm(u, 3.0) - 0.5) < 1e-12
     assert sobolev_norm(divergence(u), 2.0) < 1e-12
+
+
+# -- the half-lattice operators against the full-lattice reference --------
+
+
+def _nyquist_free_noise(full, shape, rng):
+    hat = full.fft(rng.standard_normal(shape + full.grid.shape))
+    return full.ifft(np.where(full.nyquist_mask, 0.0, hat))
+
+
+def _reference(name, f, g, full):
+    """Full-lattice value of each operator, as sums and masks over all
+    N^dim modes."""
+    F, G = full.fft(f.data), full.fft(g.data)
+    w = (1.0 + full.xi_sq) ** 1.5
+    safe = np.where(full.xi_sq > 0, full.xi_sq, 1.0)
+    if name == "sobolev_norm":
+        return np.sqrt(np.sum(w * np.abs(F) ** 2))
+    if name == "sobolev_inner":
+        return np.real(np.sum(w * F * np.conj(G)))
+    if name == "energy":
+        return np.sum(np.abs(F) ** 2)
+    if name == "chi_cutoff":
+        return full.ifft(np.where(full.xi_sq <= 4.0 * (1.0 + 1e-12), F, 0.0))
+    if name == "leray_project":
+        div = sum(x * F[j] for j, x in enumerate(full.xi_axes))
+        return full.ifft(F - np.stack([x * div / safe for x in full.xi_axes]))
+    if name == "biot_savart":
+        om = full.fft(vorticity(f).data)
+        acc = [sum(om[ell, j] * full.xi_axes[j] for j in range(len(F)))
+               for ell in range(len(F))]
+        return full.ifft(np.stack([np.where(full.xi_sq > 0, -1j * a / safe, 0.0)
+                                   for a in acc]))
+    profile = _mollifier_profile(0.3 * np.sqrt(full.xi_sq), full.grid.dim)
+    return full.ifft(F * profile)
+
+
+_OPERATORS = {
+    "sobolev_norm": lambda f, g: sobolev_norm(f, 1.5),
+    "sobolev_inner": lambda f, g: sobolev_inner(f, g, 1.5),
+    "energy": lambda f, g: energy(f),
+    "chi_cutoff": lambda f, g: chi_cutoff(f, 2.0).data,
+    "leray_project": lambda f, g: leray_project(f).data,
+    "biot_savart": lambda f, g: biot_savart(vorticity(f)).data,
+    "mollify": lambda f, g: mollify(f, 0.3).data,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OPERATORS))
+@pytest.mark.parametrize("dim,n", [(2, 16), (2, 32), (3, 16)])
+def test_half_lattice_matches_full_reference(name, dim, n, rng):
+    grid = Grid(dim=dim, n=n, length=2.0 * np.pi)
+    full = FullLattice(grid)
+    f = VectorField(grid, _nyquist_free_noise(full, (dim,), rng))
+    # correlated second field, so the inner product is not a cancellation
+    g = f + VectorField(grid, _nyquist_free_noise(full, (dim,), rng))
+    ref = _reference(name, f, g, full)
+    got = _OPERATORS[name](f, g)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))

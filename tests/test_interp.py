@@ -8,6 +8,8 @@ import pytest
 from eulerlab import Grid, ScalarField, VectorField, random_div_free, random_scalar
 from eulerlab.interp import Interpolant, sample
 
+from conftest import FullLattice
+
 TAU = 2.0 * np.pi
 
 
@@ -83,7 +85,7 @@ class TestNyquistWarning:
     def test_warns_on_unpaired_nyquist(self, grid16):
         hat = np.zeros(grid16.shape, dtype=complex)
         hat[grid16.n // 2, 1] = 1.0  # unpaired Nyquist content
-        f = ScalarField.from_hat(grid16, hat)
+        f = ScalarField(grid16, FullLattice(grid16).ifft(hat))
         with pytest.warns(UserWarning):
             Interpolant(f, order=3)
 

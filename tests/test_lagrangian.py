@@ -31,6 +31,9 @@ from eulerlab import (
     vorticity_pullback,
 )
 from eulerlab import lagrangian
+from eulerlab.interp import Interpolant
+
+from conftest import FullLattice
 
 TAU = 2.0 * np.pi
 
@@ -55,9 +58,10 @@ class TestDiffeoBasics:
         a = np.array([0.4, 1.3])
         g = compose(f, shift(grid32, a), order="fourier")
         # (f o shift_a)(x) = f(x + a): modulation e^{+i xi . a}
-        expect = grid32.ifft(grid32.fft(f.data)
-                             * np.exp(1j * sum(x * v for x, v in
-                                               zip(grid32.xi_axes, a)))).real
+        full = FullLattice(grid32)
+        expect = full.ifft(full.fft(f.data)
+                           * np.exp(1j * sum(x * v for x, v in
+                                             zip(full.xi_axes, a)))).real
         assert np.max(np.abs(g.data - expect)) < 1e-11
 
     def test_orientation_check(self, grid16):
@@ -88,6 +92,20 @@ class TestInversion:
         psi = invert(phi, order="fourier", tol=1e-12)
         rt = compose_diffeo(phi, psi, order="fourier")
         assert np.max(np.abs(rt.displacement.data)) < 1e-9
+
+    def test_folded_map_fails_fast(self, grid16, monkeypatch):
+        # x1 + 1.5 sin x1 folds near x1 = pi: Newton fires and the
+        # residual rises, which ends the iteration well before max_iter
+        calls = []
+        at = Interpolant.at
+        monkeypatch.setattr(Interpolant, "at",
+                            lambda self, p: calls.append(1) or at(self, p))
+        x = grid16.coords()[0]
+        phi = Diffeo(VectorField(grid16, np.stack([1.5 * np.sin(x),
+                                                   np.zeros(grid16.shape)])))
+        with pytest.raises(RuntimeError, match="did not reach"):
+            invert(phi, max_iter=100)
+        assert len(calls) < 100
 
 
 class TestDeterminant:
@@ -170,14 +188,15 @@ class TestGeodesicFailures:
         assert "non-finite" in str(err.value)
 
     def test_non_finite_newton_iterate(self, grid16, rng, monkeypatch):
-        # an unreachable tolerance stalls the contraction, so Newton fires;
-        # its solve is replaced by one returning NaN
+        # a negative tolerance is never met, not even by a residual that
+        # rounds to 0, so the contraction stalls and Newton fires; its
+        # solve is replaced by one returning NaN
         solve_ = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve",
                             lambda a, b: np.full_like(solve_(a, b), np.nan))
         u0 = random_div_free(grid16, rng, norm_value=0.2)
         with pytest.raises(BlowUpError, match="non-finite iterate"):
-            geodesic_solve(u0, 0.1, GeodesicConfig(dt=0.05, inversion_tol=1e-300))
+            geodesic_solve(u0, 0.1, GeodesicConfig(dt=0.05, inversion_tol=-1.0))
 
 
 class TestFlowAndPullback:

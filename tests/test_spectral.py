@@ -19,6 +19,8 @@ from eulerlab import (
     spectral_truncate,
 )
 
+from conftest import FullLattice
+
 TAU = 2.0 * np.pi
 
 
@@ -38,13 +40,13 @@ class TestGrid:
 
     def test_fft_roundtrip(self, grid16, rng):
         data = rng.standard_normal(grid16.shape)
-        back = grid16.ifft(grid16.fft(data))
-        assert np.max(np.abs(back.real - data)) < 1e-13
+        back = grid16.irfft(grid16.rfft(data))
+        assert np.max(np.abs(back - data)) < 1e-13
 
     def test_fft_normalization_mean(self, grid16):
         # zero mode of the normalized transform is the spatial mean
         data = np.full(grid16.shape, 3.5)
-        assert abs(grid16.fft(data)[0, 0] - 3.5) < 1e-14
+        assert abs(grid16.rfft(data)[0, 0] - 3.5) < 1e-14
 
     def test_frequency_axis_spacing(self):
         g = Grid(dim=2, n=16, length=4.0 * np.pi)
@@ -53,24 +55,28 @@ class TestGrid:
     @pytest.mark.parametrize("dim", [2, 3])
     def test_half_spectrum_matches_full(self, dim, rng):
         g = Grid(dim=dim, n=8, length=4.0 * np.pi)
+        ref = FullLattice(g)
         data = rng.standard_normal((2,) + g.shape)
-        full, half = g.fft(data), g.rfft(data)
+        full, half = ref.fft(data), g.rfft(data)
         h = g.n // 2 + 1
         assert np.max(np.abs(half - full[..., :h])) < 1e-15
         assert np.max(np.abs(g.irfft(half) - data)) < 1e-13
         for name in ("xi_sq", "dealias_mask", "nyquist_mask"):
-            assert np.array_equal(getattr(g, "r" + name), getattr(g, name)[..., :h])
+            assert np.array_equal(getattr(g, name), getattr(ref, name)[..., :h])
+        for j in range(dim - 1):
+            assert np.array_equal(g.xi_axes[j], ref.xi_axes[j])
+        assert np.array_equal(g.xi_axes[-1], np.abs(ref.xi_axes[-1][..., :h]))
         # Hermitian weights: half-lattice power sums are full-lattice sums
         power = np.abs(full) ** 2
-        rpower = g.rweight * np.abs(half) ** 2
+        rpower = g.weight * np.abs(half) ** 2
         assert np.sum(rpower) == pytest.approx(np.sum(power), rel=1e-13)
-        assert np.sum(rpower[..., g.rnyquist_mask]) == pytest.approx(
-            np.sum(power[..., g.nyquist_mask]), rel=1e-13)
-        # rderiv is partial_derivative on the half lattice
+        assert np.sum(rpower[..., g.nyquist_mask]) == pytest.approx(
+            np.sum(power[..., ref.nyquist_mask]), rel=1e-13)
+        # deriv is the full-lattice derivative symbol on the half lattice
         f = ScalarField(g, data[0])
         for j in range(dim):
-            assert np.max(np.abs(g.irfft(g.rderiv[j] * g.rfft(f.data))
-                                 - partial_derivative(f, j).data)) < 1e-12
+            assert np.max(np.abs(partial_derivative(f, j).data
+                                 - ref.ifft(ref.deriv(ref.fft(f.data), j)))) < 1e-12
 
 
 class TestSobolevNorm:
@@ -146,6 +152,10 @@ class TestFieldAlgebra:
     def test_vector_shape_checked(self, grid16):
         with pytest.raises(ValueError):
             VectorField(grid16, np.zeros((3,) + grid16.shape))
+
+    def test_full_lattice_spectrum_rejected(self, grid16):
+        with pytest.raises(ValueError, match="spectrum shape"):
+            ScalarField.from_hat(grid16, np.zeros(grid16.shape, dtype=complex))
 
     def test_truncate_removes_high_modes(self, grid16, rng):
         f = random_scalar(grid16, rng)
