@@ -135,6 +135,16 @@ def _monitors(grid: Grid, s: float):
     return measure
 
 
+def _step_count(T: float, dt: float) -> int:
+    """round(T / dt); raises ValueError unless T is a positive multiple of dt."""
+    if not T > 0:
+        raise ValueError(f"final time must be positive, got {T}")
+    n_steps = int(round(T / dt))
+    if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
+        raise ValueError(f"T = {T} is not a multiple of dt = {dt}")
+    return n_steps
+
+
 def solve(u0: VectorField, T: float, cfg: StepperConfig | None = None) -> Trajectory:
     """Integrate from u0 to time T, recording energy / H^s norm / div drift.
 
@@ -145,11 +155,7 @@ def solve(u0: VectorField, T: float, cfg: StepperConfig | None = None) -> Trajec
     """
     if cfg is None:
         cfg = StepperConfig()
-    if not T > 0:
-        raise ValueError(f"final time must be positive, got {T}")
-    n_steps = int(round(T / cfg.dt))
-    if n_steps < 1 or abs(n_steps * cfg.dt - T) > 1e-9 * max(T, 1.0):
-        raise ValueError(f"T = {T} is not a multiple of dt = {cfg.dt}")
+    n_steps = _step_count(T, cfg.dt)
 
     bb = BAssembly(u0.grid, cutoff=cfg.cutoff)
     measure = _monitors(u0.grid, cfg.s_monitor)

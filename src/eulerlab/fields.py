@@ -141,7 +141,9 @@ def mollify(f, eps: float):
     if not eps > 0:
         raise ValueError(f"mollifier width must be positive, got {eps}")
     grid = f.grid
-    mult = _mollifier_profile(eps * np.sqrt(grid.xi_sq), grid.dim)
+    # the profile is radial: one quadrature per distinct |xi|, not per mode
+    xi_sq, mode = np.unique(grid.xi_sq, return_inverse=True)
+    mult = _mollifier_profile(eps * np.sqrt(xi_sq), grid.dim)[mode]
     return type(f).from_hat(grid, f.hat * mult)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eulerian import StepperConfig, solve
+from .eulerian import BlowUpError, StepperConfig, _step_count, solve
 from .fields import bump, div_free_bump, vorticity
 from .lagrangian import Diffeo, GeodesicConfig, compose, exp_map, invert
 from .spectral import Grid, ScalarField, VectorField, chi_cutoff, sobolev_norm
@@ -140,26 +140,29 @@ def composition_experiment(R: float = 0.1, k_max: int = 13, s: float = 2.5,
     out_sum = np.empty(k_max)
     resolved = np.empty(k_max)
     trusted = np.empty(k_max)
-    for i, k in enumerate(ks):
-        dk = delta1 / k
-        df = bump(grid, x_star, r=dk)
-        df = df * (0.5 * R / sobolev_norm(df, s))
-        phi_k = Diffeo(dphi * (1.0 / k))
-        psi_k = invert(phi_k, order=order)
-        # nu(f, id) = f: the base output is the data itself
-        nu_base = f_base + df
+    try:
+        for i, k in enumerate(ks):
+            dk = delta1 / k
+            df = bump(grid, x_star, r=dk)
+            df = df * (0.5 * R / sobolev_norm(df, s))
+            phi_k = Diffeo(dphi * (1.0 / k))
+            psi_k = invert(phi_k, order=order)
+            # nu(f, id) = f: the base output is the data itself
+            nu_base = f_base + df
 
-        with warnings.catch_warnings():
-            # near-cell-size bumps trip the Nyquist-content warning by
-            # design; the resolved/trusted flags carry that information
-            warnings.simplefilter("ignore", UserWarning)
-            nu_pert = compose(nu_base, psi_k, order=order)
-            half_a = nu_pert - compose(f_base, psi_k, order=order)
-        in_gap[i] = dphi_norm / k
-        out_gap[i] = sobolev_norm(nu_pert - nu_base, s)
-        out_sum[i] = sobolev_norm(half_a, s) + sobolev_norm(df, s)
-        resolved[i] = float(dk >= 4.0 * grid.spacing)
-        trusted[i] = float(dk >= 8.0 * grid.spacing)
+            with warnings.catch_warnings():
+                # near-cell-size bumps trip the Nyquist-content warning by
+                # design; the resolved/trusted flags carry that information
+                warnings.simplefilter("ignore", UserWarning)
+                nu_pert = compose(nu_base, psi_k, order=order)
+                half_a = nu_pert - compose(f_base, psi_k, order=order)
+            in_gap[i] = dphi_norm / k
+            out_gap[i] = sobolev_norm(nu_pert - nu_base, s)
+            out_sum[i] = sobolev_norm(half_a, s) + sobolev_norm(df, s)
+            resolved[i] = float(dk >= 4.0 * grid.spacing)
+            trusted[i] = float(dk >= 8.0 * grid.spacing)
+    except ValueError as exc:  # non-finite samples reached a field
+        raise BlowUpError(f"composition row k = {k} failed: {exc}") from exc
 
     return SeparationSeries(
         ks, in_gap, out_gap,
@@ -209,25 +212,29 @@ def solution_map_experiment(R: float = 0.1, k_max: int = 8, s: float = 2.5,
 
     ks, in_gap, out_gap, vort_gap, q_list = [], [], [], [], []
     truncated = False
-    for k in range(1, k_max + 1):
-        q_k = k * q_bar / R
-        if q_k > 0.85 * xi_band:
-            truncated = True
-            break
-        w_k = div_free_bump(grid, x_star, r=rho, s=s, norm_value=0.25 * R,
-                            modulation=q_k)
-        v_k = (0.25 * R / k) * v_dir
-        u_k = u0_base + w_k
-        u_tilde = u_k + v_k
+    _step_count(T, dt)  # in the rows a ValueError is numerical, not a parameter
+    try:
+        for k in range(1, k_max + 1):
+            q_k = k * q_bar / R
+            if q_k > 0.85 * xi_band:
+                truncated = True
+                break
+            w_k = div_free_bump(grid, x_star, r=rho, s=s, norm_value=0.25 * R,
+                                modulation=q_k)
+            v_k = (0.25 * R / k) * v_dir
+            u_k = u0_base + w_k
+            u_tilde = u_k + v_k
 
-        final = solve(u_k, T, cfg).final.u
-        final_t = solve(u_tilde, T, cfg).final.u
-        ks.append(k)
-        in_gap.append(sobolev_norm(v_k, s))
-        out_gap.append(sobolev_norm(final - final_t, s))
-        vort_gap.append(sobolev_norm(vorticity(final) - vorticity(final_t),
-                                     s - 1.0))
-        q_list.append(q_k)
+            final = solve(u_k, T, cfg).final.u
+            final_t = solve(u_tilde, T, cfg).final.u
+            ks.append(k)
+            in_gap.append(sobolev_norm(v_k, s))
+            out_gap.append(sobolev_norm(final - final_t, s))
+            vort_gap.append(sobolev_norm(vorticity(final) - vorticity(final_t),
+                                         s - 1.0))
+            q_list.append(q_k)
+    except ValueError as exc:  # non-finite samples reached a field
+        raise BlowUpError(f"solution-map row k = {k} failed: {exc}") from exc
 
     if not ks:
         raise ValueError(

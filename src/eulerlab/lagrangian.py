@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bform import BAssembly
-from .eulerian import BlowUpError, EulerState, Trajectory
+from .eulerian import BlowUpError, EulerState, Trajectory, _step_count
 from .fields import jacobian
 from .interp import DEFAULT_ORDER, Interpolant
 from .spectral import (
@@ -85,11 +85,30 @@ def shift(grid: Grid, a) -> Diffeo:
     return Diffeo(VectorField(grid, np.broadcast_to(a, (grid.dim,) + grid.shape).copy()))
 
 
+def _moved_nodes(g: np.ndarray):
+    """Index of the nodes a displacement g moves: slice(None) when it
+    moves all of them, a boolean mask over the grid when it fixes some,
+    None when it fixes every node."""
+    moved = np.any(g != 0.0, axis=0)
+    if moved.all():
+        return slice(None)
+    return moved if moved.any() else None
+
+
 def compose(f, phi: Diffeo, order=DEFAULT_ORDER):
-    """Right translation R_phi f = f o phi by periodic interpolation."""
-    _check_same_grid(f, phi.displacement)
-    vals = Interpolant(f, order=order).at(phi.positions())
-    return type(f)(f.grid, vals)
+    """Right translation R_phi f = f o phi by periodic interpolation.
+
+    Only the nodes phi moves are interpolated; at a node phi fixes (zero
+    displacement) the sample of f is copied, which is exact.
+    """
+    grid = _check_same_grid(f, phi.displacement)
+    g = phi.displacement.data
+    sel = _moved_nodes(g)
+    vals = f.data.copy()
+    if sel is not None:
+        points = np.stack(grid.coords())[:, sel] + g[:, sel]
+        vals[..., sel] = Interpolant(f, order=order).at(points)
+    return type(f)(grid, vals)
 
 
 def compose_diffeo(outer: Diffeo, inner: Diffeo, order=DEFAULT_ORDER) -> Diffeo:
@@ -104,14 +123,20 @@ def invert(phi: Diffeo, order=DEFAULT_ORDER, tol: float = 1e-10,
 
     The displacement h of psi solves the fixed-point equation
     h(x) = -g(x + h(x)); iterated with damping, with a Newton step using
-    the interpolated Jacobian of g when the contraction stalls.  Raises
-    BlowUpError at once on a non-finite iterate, and RuntimeError when the
-    iteration budget runs out or a Newton step raises the residual.
+    the interpolated Jacobian of g when the contraction stalls.  At a node
+    phi fixes (g = 0) the exact solution is h = 0: it is set there, and
+    the iteration, its residual and the guess cover the moved nodes only
+    (phi = id returns at once).  Raises BlowUpError at once on a
+    non-finite iterate, and RuntimeError when the iteration budget runs
+    out or a Newton step raises the residual.
     """
     grid = phi.grid
+    sel = _moved_nodes(phi.displacement.data)
+    if sel is None:
+        return identity(grid)
     g_interp = Interpolant(phi.displacement, order=order)
-    x = np.stack(grid.coords())
-    h = np.zeros_like(x) if guess is None else guess.data.copy()
+    x = np.stack(grid.coords())[:, sel]
+    h = np.zeros_like(x) if guess is None else guess.data[:, sel].copy()
 
     dg_interp = None
     newton = False
@@ -121,7 +146,9 @@ def invert(phi: Diffeo, order=DEFAULT_ORDER, tol: float = 1e-10,
         gh = g_interp.at(x + h)
         res = float(np.max(np.abs(h + gh)))
         if res <= tol:
-            return Diffeo(VectorField(grid, h))
+            out = np.zeros_like(phi.displacement.data)
+            out[:, sel] = h
+            return Diffeo(VectorField(grid, out))
         if not np.isfinite(res):
             raise BlowUpError(f"non-finite iterate in diffeomorphism inversion "
                               f"(residual {res})")
@@ -252,11 +279,7 @@ def geodesic_solve(u0: VectorField, T: float,
     """Integrate the geodesic system from (id, u0) up to time T."""
     if cfg is None:
         cfg = GeodesicConfig()
-    if not T > 0:
-        raise ValueError(f"final time must be positive, got {T}")
-    n_steps = int(round(T / cfg.dt))
-    if n_steps < 1 or abs(n_steps * cfg.dt - T) > 1e-9 * max(T, 1.0):
-        raise ValueError(f"T = {T} is not a multiple of dt = {cfg.dt}")
+    n_steps = _step_count(T, cfg.dt)
     bb = BAssembly(u0.grid, cutoff=cfg.cutoff)
 
     state = GeodesicState(0.0, identity(u0.grid), u0)
@@ -339,9 +362,8 @@ def vorticity_pullback(phi: Diffeo, omega: MatrixField,
     Along a solved flow this is constant in time (vorticity conservation):
     pulling back Omega(t) with phi(t) recovers Omega(0).
     """
-    _check_same_grid(omega, phi.displacement)
     grid = phi.grid
-    om_phi = Interpolant(omega, order=order).at(phi.positions())
+    om_phi = compose(omega, phi, order=order).data
     dphi = jacobian(phi.displacement).data + np.eye(grid.dim).reshape(
         (grid.dim, grid.dim) + (1,) * grid.dim
     )

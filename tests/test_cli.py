@@ -4,6 +4,7 @@ determinism of outputs."""
 import numpy as np
 import pytest
 
+from eulerlab import VectorField
 from eulerlab.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -82,6 +83,31 @@ class TestExitCodes:
     def test_time_not_multiple_of_dt_is_2(self, tmp_path, capsys):
         code = run(["simulate", "--N", "16", "--T", "0.0015", "--dt", "0.001",
                     "--out", tmp_path / "o"])
+        assert code == EXIT_CONFIG
+        assert "not a multiple of dt" in capsys.readouterr().err
+
+    def test_non_finite_composition_row_is_numeric(self, tmp_path, monkeypatch):
+        # a NaN sample reaching a field constructor inside the row loop
+        from eulerlab import illposedness
+
+        monkeypatch.setattr(illposedness, "compose", lambda f, phi, order: type(f)(
+            f.grid, np.full_like(f.data, np.nan)))
+        code = run(["illposedness", "--experiment", "composition", "--N", "64",
+                    "--out", tmp_path / "c"])
+        assert code == EXIT_NUMERIC
+
+    def test_non_finite_solution_map_row_is_numeric(self, tmp_path, monkeypatch):
+        from eulerlab import illposedness
+
+        monkeypatch.setattr(illposedness, "solve", lambda u, T, cfg: VectorField(
+            u.grid, np.full_like(u.data, np.nan)))
+        code = run(["illposedness", "--experiment", "solution-map", "--N", "16",
+                    "--out", tmp_path / "s"])
+        assert code == EXIT_NUMERIC
+
+    def test_solution_map_time_not_multiple_of_dt_is_2(self, tmp_path, capsys):
+        code = run(["illposedness", "--experiment", "solution-map", "--N", "16",
+                    "--T", "0.0015", "--dt", "0.001", "--out", tmp_path / "s"])
         assert code == EXIT_CONFIG
         assert "not a multiple of dt" in capsys.readouterr().err
 

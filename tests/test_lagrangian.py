@@ -8,8 +8,10 @@ from eulerlab import (
     BlowUpError,
     Diffeo,
     GeodesicConfig,
+    Grid,
     StepperConfig,
     VectorField,
+    bump,
     compose,
     compose_diffeo,
     det_jacobian,
@@ -20,6 +22,7 @@ from eulerlab import (
     geodesic_solve,
     identity,
     invert,
+    jacobian,
     random_div_free,
     random_scalar,
     ScalarField,
@@ -36,6 +39,15 @@ from eulerlab.interp import Interpolant
 from conftest import FullLattice
 
 TAU = 2.0 * np.pi
+
+
+def _record_points(monkeypatch):
+    """Patch Interpolant.at to record the number of points of each call."""
+    sizes = []
+    at = Interpolant.at
+    monkeypatch.setattr(Interpolant, "at", lambda self, p: sizes.append(
+        int(np.prod(np.shape(p)[1:]))) or at(self, p))
+    return sizes
 
 
 class TestDiffeoBasics:
@@ -96,16 +108,121 @@ class TestInversion:
     def test_folded_map_fails_fast(self, grid16, monkeypatch):
         # x1 + 1.5 sin x1 folds near x1 = pi: Newton fires and the
         # residual rises, which ends the iteration well before max_iter
-        calls = []
-        at = Interpolant.at
-        monkeypatch.setattr(Interpolant, "at",
-                            lambda self, p: calls.append(1) or at(self, p))
+        calls = _record_points(monkeypatch)
         x = grid16.coords()[0]
         phi = Diffeo(VectorField(grid16, np.stack([1.5 * np.sin(x),
                                                    np.zeros(grid16.shape)])))
         with pytest.raises(RuntimeError, match="did not reach"):
             invert(phi, max_iter=100)
         assert len(calls) < 100
+
+
+def _compose_all_nodes(f, phi, order):
+    """Reference right translation: interpolate f at phi(x) on every node."""
+    return Interpolant(f, order=order).at(phi.positions())
+
+
+def _invert_all_nodes(phi, order, tol=1e-10, max_iter=100):
+    """Reference inversion: the damped fixed point h = -g(x + h), with the
+    Newton switch, iterated on every node."""
+    grid = phi.grid
+    g_interp = Interpolant(phi.displacement, order=order)
+    x = np.stack(grid.coords())
+    h = np.zeros_like(x)
+    dg_interp = None
+    newton = False
+    prev_res = np.inf
+    for _ in range(max_iter):
+        gh = g_interp.at(x + h)
+        res = float(np.max(np.abs(h + gh)))
+        if res <= tol:
+            return h
+        if not newton and res >= 0.5 * prev_res:
+            newton = True
+        if newton:
+            if dg_interp is None:
+                dg_interp = Interpolant(jacobian(phi.displacement), order=order)
+            jac = np.moveaxis(dg_interp.at(x + h), (0, 1), (-2, -1)) + np.eye(grid.dim)
+            f_val = np.moveaxis(h + gh, 0, -1)
+            h = h - np.moveaxis(np.linalg.solve(jac, f_val[..., None])[..., 0], -1, 0)
+        else:
+            h = -gh
+        prev_res = res
+    raise AssertionError("reference inversion did not converge")
+
+
+def _strip_shear(grid, amp=0.4, r=2.0):
+    """x_1-displacement amp * b(x_2), with b a 1D bump of radius r: it
+    fixes every node outside a strip."""
+    d = np.abs(grid.coords()[1] - 0.25 * grid.length)
+    inside = d < r
+    prof = np.where(inside, amp * np.exp(-r * r / np.where(inside, r * r - d * d, 1.0)), 0.0)
+    comps = [prof] + [np.zeros(grid.shape)] * (grid.dim - 1)
+    return Diffeo(VectorField(grid, np.stack(comps)))
+
+
+def _bump_displacement(grid, amp=0.3):
+    """The same compact bump of radius 2.5 in every component."""
+    b = bump(grid, [0.5 * grid.length] * grid.dim, r=2.5, amplitude=amp).data
+    return Diffeo(VectorField(grid, np.stack([b] * grid.dim)))
+
+
+_MAPS = {"strip": _strip_shear, "bump": _bump_displacement}
+
+
+# compact supports on grids this small keep some Nyquist content; the
+# comparisons below do not depend on it
+@pytest.mark.filterwarnings("ignore:field has significant unpaired Nyquist")
+class TestMovedNodes:
+    """compose and invert interpolate only where the map moves a node;
+    at a fixed node the exact answer (f itself, h = 0) is copied."""
+
+    @pytest.mark.parametrize("order", [3, 5])
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    @pytest.mark.parametrize("kind", sorted(_MAPS))
+    def test_matches_all_node_reference(self, kind, dim, n, order, rng):
+        grid = Grid(dim=dim, n=n, length=TAU)
+        phi = _MAPS[kind](grid)
+        moved = np.any(phi.displacement.data != 0.0, axis=0)
+        assert 0 < np.count_nonzero(moved) < grid.size
+        for f in (random_scalar(grid, rng, max_xi=3.0),
+                  random_div_free(grid, rng, max_xi=3.0)):
+            ref = _compose_all_nodes(f, phi, order)
+            got = compose(f, phi, order=order).data
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        ref = _invert_all_nodes(phi, order)
+        got = invert(phi, order=order).displacement.data
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.all(got[:, ~moved] == 0.0)
+
+    @pytest.mark.parametrize("kind", sorted(_MAPS))
+    def test_interpolates_exactly_the_moved_nodes(self, kind, grid32, rng,
+                                                  monkeypatch):
+        g = _MAPS[kind](grid32).displacement.data.copy()
+        g[-1, 0, 0] = 1e-300  # a node moved by a tiny amount is still moved
+        phi = Diffeo(VectorField(grid32, g))
+        moved = np.count_nonzero(np.any(g != 0.0, axis=0))
+        sizes = _record_points(monkeypatch)
+        compose(random_scalar(grid32, rng), phi)
+        invert(phi)
+        assert len(sizes) >= 2 and set(sizes) == {moved}
+
+    def test_identity_is_free_and_exact(self, grid32, rng, monkeypatch):
+        sizes = _record_points(monkeypatch)
+        f = random_div_free(grid32, rng)
+        psi = invert(identity(grid32), tol=-1.0)
+        assert np.all(psi.displacement.data == 0.0)
+        assert np.array_equal(compose(f, identity(grid32)).data, f.data)
+        assert sizes == []
+
+    def test_guess_ignored_on_fixed_nodes(self, grid32):
+        phi = _strip_shear(grid32)
+        fixed = ~np.any(phi.displacement.data != 0.0, axis=0)
+        guess = VectorField(grid32, np.full((2,) + grid32.shape, 0.05))
+        h = invert(phi, guess=guess).displacement.data
+        assert np.all(h[:, fixed] == 0.0)
+        ref = invert(phi).displacement.data
+        assert np.max(np.abs(h - ref)) < 1e-9
 
 
 class TestDeterminant:
