@@ -23,6 +23,8 @@ from .spectral import Grid, ScalarField, VectorField, chi_symbol, sobolev_norm
 
 __all__ = ["BAssembly"]
 
+_DIV_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class BAssembly:
@@ -103,11 +105,12 @@ class BAssembly:
 
     # -- pressure bridge --------------------------------------------------
 
-    def pressure_from(self, u: VectorField, div_tol: float = 1e-6) -> ScalarField:
-        """Classical pressure p = -B(u); meaningful for divergence-free u."""
+    def pressure_from(self, u: VectorField) -> ScalarField:
+        """Classical pressure p = -B(u); warns unless u is divergence-free
+        (||div u||_0 <= _DIV_TOL max(||u||_1, 1))."""
         drift = sobolev_norm(divergence(u), 0.0)
         scale = max(sobolev_norm(u, 1.0), 1.0)
-        if drift > div_tol * scale:
+        if drift > _DIV_TOL * scale:
             warnings.warn(
                 f"pressure_from called with ||div u||_0 = {drift:.3e}; "
                 "the pressure identification assumes a divergence-free field",

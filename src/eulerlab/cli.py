@@ -84,6 +84,8 @@ class RunConfig:
             (self.method in ("rk4", "rk2"), "method must be rk4 or rk2"),
             (self.dynamics in ("eulerian", "geodesic"),
              "dynamics must be eulerian or geodesic"),
+            (self.dynamics == "eulerian" or self.method == "rk4",
+             "the geodesic integrator is RK4 only"),
             (self.initial in ("random", "taylor-green"),
              "initial must be random or taylor-green"),
             (self.experiment in ("composition", "solution-map", "both"),

@@ -91,15 +91,16 @@ def rhs(u: VectorField, bb: BAssembly | None = None) -> VectorField:
     return VectorField(u.grid, u.grid.irfft(bb.rhs_hat(u.grid.rfft(u.data))))
 
 
-def _rk_step(u_hat: np.ndarray, dt: float, bb: BAssembly, method: str) -> np.ndarray:
-    f = bb.rhs_hat
+def _rk(f, y: np.ndarray, dt: float, method: str = "rk4") -> np.ndarray:
+    """One step of dy/dt = f(c, y), c the stage's fraction of the step:
+    classical RK4 (c = 0, 1/2, 1/2, 1) or the midpoint rule "rk2"."""
     if method == "rk2":
-        return u_hat + dt * f(u_hat + 0.5 * dt * f(u_hat))
-    k1 = f(u_hat)
-    k2 = f(u_hat + 0.5 * dt * k1)
-    k3 = f(u_hat + 0.5 * dt * k2)
-    k4 = f(u_hat + dt * k3)
-    return u_hat + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return y + dt * f(0.5, y + 0.5 * dt * f(0.0, y))
+    k1 = f(0.0, y)
+    k2 = f(0.5, y + 0.5 * dt * k1)
+    k3 = f(0.5, y + 0.5 * dt * k2)
+    k4 = f(1.0, y + dt * k3)
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def step(state: EulerState, cfg: StepperConfig,
@@ -110,7 +111,7 @@ def step(state: EulerState, cfg: StepperConfig,
     if bb is None:
         bb = BAssembly(grid, cutoff=cfg.cutoff)
     u_hat = grid.rfft(state.u.data) if state.u_hat is None else state.u_hat
-    u_next = _rk_step(u_hat, cfg.dt, bb, cfg.method)
+    u_next = _rk(lambda c, y: bb.rhs_hat(y), u_hat, cfg.dt, cfg.method)
     try:
         u = VectorField(grid, grid.irfft(u_next))
     except ValueError as exc:  # non-finite samples rejected by field ctor

@@ -30,6 +30,8 @@ __all__ = [
     "random_div_free",
 ]
 
+_SKEW_TOL = 1e-8
+
 
 def gradient(f: ScalarField) -> VectorField:
     grid = f.grid
@@ -80,18 +82,18 @@ def vorticity(u: VectorField) -> MatrixField:
     return MatrixField(u.grid, du.data - np.swapaxes(du.data, 0, 1))
 
 
-def biot_savart(omega: MatrixField, skew_tol: float = 1e-8) -> VectorField:
+def biot_savart(omega: MatrixField) -> VectorField:
     """Unique mean-free divergence-free u with vorticity(u) = omega.
 
     Spectral inversion u_hat_l(xi) = (1/i) sum_j omega_hat_lj(xi) xi_j/|xi|^2
-    for xi != 0.
+    for xi != 0; omega must be skew and mean-free to _SKEW_TOL relative.
     """
     grid = omega.grid
     scale = float(np.max(np.abs(omega.data)))
-    if scale > 0 and omega.skew_defect() > skew_tol * scale:
+    if scale > 0 and omega.skew_defect() > _SKEW_TOL * scale:
         raise ValueError("biot_savart requires a skew-symmetric vorticity")
     mean = np.abs(omega.hat[(slice(None), slice(None)) + (0,) * grid.dim])
-    if scale > 0 and np.max(mean) > skew_tol * scale:
+    if scale > 0 and np.max(mean) > _SKEW_TOL * scale:
         raise ValueError("biot_savart requires a mean-free vorticity")
     safe = np.where(grid.xi_sq > 0, grid.xi_sq, 1.0)
     hat = np.zeros((grid.dim,) + grid.xi_sq.shape, dtype=np.complex128)
@@ -184,32 +186,32 @@ def bump(grid: Grid, center, r: float, amplitude: float = 1.0) -> ScalarField:
     return ScalarField(grid, vals)
 
 
-def plateau(grid: Grid, center, r_flat: float, r: float,
-            amplitude: float = 1.0) -> ScalarField:
-    """Smooth cutoff equal to `amplitude` on |y - x| <= r_flat, 0 outside r.
-
-    Built from the standard C^inf transition h(t)/(h(t)+h(1-t)),
-    h(t) = exp(-1/t).
-    """
-    if not 0 < r_flat < r:
-        raise ValueError("need 0 < r_flat < r")
-    center = _check_support(grid, center, r)
-    d = np.sqrt(_torus_dist_sq(grid, center))
-    t = np.clip((r - d) / (r - r_flat), 0.0, 1.0)
-
+def _smooth_step(t: np.ndarray) -> np.ndarray:
+    """C^inf monotone step: 0 for t <= 0, 1 for t >= 1; the standard
+    transition h(t)/(h(t)+h(1-t)) with h(t) = exp(-1/t)."""
     def h(x):
         out = np.zeros_like(x)
         pos = x > 0
         out[pos] = np.exp(-1.0 / x[pos])
         return out
 
-    vals = amplitude * h(t) / (h(t) + h(1.0 - t))
-    return ScalarField(grid, vals)
+    tc = np.clip(t, 0.0, 1.0)
+    return h(tc) / (h(tc) + h(1.0 - tc))
+
+
+def plateau(grid: Grid, center, r_flat: float, r: float,
+            amplitude: float = 1.0) -> ScalarField:
+    """Smooth cutoff equal to `amplitude` on |y - x| <= r_flat, 0 outside
+    r, through the C^inf transition ``_smooth_step``."""
+    if not 0 < r_flat < r:
+        raise ValueError("need 0 < r_flat < r")
+    center = _check_support(grid, center, r)
+    d = np.sqrt(_torus_dist_sq(grid, center))
+    return ScalarField(grid, amplitude * _smooth_step((r - d) / (r - r_flat)))
 
 
 def div_free_bump(grid: Grid, center, r: float, s: float = 2.5,
-                  norm_value: float = 1.0, modulation: float = 0.0,
-                  modulation_axis: int = 0) -> VectorField:
+                  norm_value: float = 1.0, modulation: float = 0.0) -> VectorField:
     """Compactly supported divergence-free field, normalised in H^s.
 
     2D: the perpendicular gradient (-d2 psi, d1 psi) of a bump psi;
@@ -217,12 +219,12 @@ def div_free_bump(grid: Grid, center, r: float, s: float = 2.5,
     spectrally, so the discrete divergence vanishes to round-off (the
     support is then exact only up to spectral truncation of psi).
 
-    ``modulation`` > 0 multiplies psi by cos(modulation * x_axis), giving a
+    ``modulation`` > 0 multiplies psi by cos(modulation * x_1), giving a
     wave packet whose vorticity is concentrated near that wavenumber.
     """
     psi = bump(grid, center, r)
     if modulation > 0.0:
-        x = grid.coords()[modulation_axis]
+        x = grid.coords()[0]
         psi = ScalarField(grid, psi.data * np.cos(modulation * x))
     if grid.dim == 2:
         u = VectorField.from_components(

@@ -26,16 +26,18 @@ from .spectral import _Field
 __all__ = ["Interpolant", "sample", "DEFAULT_ORDER"]
 
 DEFAULT_ORDER = 3
+_NYQUIST_WARN = 1e-6
+
 
 class Interpolant:
     """Prepared interpolant of one field; evaluate with ``.at(points)``.
 
     ``points`` has shape (dim, ...) in physical coordinates; the result
-    has the field's component axes followed by the point shape.
+    has the field's component axes followed by the point shape.  Splines
+    warn when unpaired Nyquist modes carry > _NYQUIST_WARN of the power.
     """
 
-    def __init__(self, field: _Field, order: int | str = DEFAULT_ORDER,
-                 nyquist_warn: float = 1e-6):
+    def __init__(self, field: _Field, order: int | str = DEFAULT_ORDER):
         grid = field.grid
         if order not in (3, 5, "fourier"):
             raise ValueError(f"order must be 3, 5 or 'fourier', got {order!r}")
@@ -58,7 +60,7 @@ class Interpolant:
             power = grid.weight * (hat.real ** 2 + hat.imag ** 2)
             total = float(np.sum(power))
             nyq = float(np.sum(np.where(grid.nyquist_mask, power, 0.0)))
-            if total > 0 and nyq > nyquist_warn * total:
+            if total > 0 and nyq > _NYQUIST_WARN * total:
                 warnings.warn(
                     "field has significant unpaired Nyquist content; "
                     "spline interpolation of it is not well defined",

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bform import BAssembly
-from .eulerian import BlowUpError, EulerState, Trajectory, _step_count
+from .eulerian import BlowUpError, EulerState, Trajectory, _rk, _step_count
 from .fields import jacobian
 from .interp import DEFAULT_ORDER, Interpolant
 from .spectral import (
@@ -241,31 +241,34 @@ def _christoffel(phi, v, bb, order, inv_guess, tol):
 
 def _geodesic_step(state: GeodesicState, dt: float, bb: BAssembly,
                    cfg: GeodesicConfig, inv_guess: VectorField | None):
-    g, v = state.phi.displacement, state.v
-    kw = dict(bb=bb, order=cfg.order, tol=cfg.inversion_tol)
+    """RK4 on the stacked (g, v); each stage's inverse map seeds the next
+    stage's inversion.  A folded map or non-finite samples raise BlowUpError."""
+    grid, d = state.v.grid, state.v.grid.dim
+    guess = inv_guess
 
-    k1v, psi = _christoffel(Diffeo(g), v, inv_guess=inv_guess, **kw)
-    k1g = v
-    k2v, psi = _christoffel(Diffeo(g + 0.5 * dt * k1g), v + 0.5 * dt * k1v,
-                            inv_guess=psi.displacement, **kw)
-    k2g = v + 0.5 * dt * k1v
-    k3v, psi = _christoffel(Diffeo(g + 0.5 * dt * k2g), v + 0.5 * dt * k2v,
-                            inv_guess=psi.displacement, **kw)
-    k3g = v + 0.5 * dt * k2v
-    k4v, psi = _christoffel(Diffeo(g + dt * k3g), v + dt * k3v,
-                            inv_guess=psi.displacement, **kw)
-    k4g = v + dt * k3v
+    def f(c, y):
+        nonlocal guess
+        gamma, psi = _christoffel(Diffeo(VectorField(grid, y[:d])),
+                                  VectorField(grid, y[d:]), bb, cfg.order,
+                                  guess, cfg.inversion_tol)
+        guess = psi.displacement
+        return np.concatenate([y[d:], gamma.data])
 
-    g_new = g + (dt / 6.0) * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
-    v_new = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    phi_new = Diffeo(g_new)
-    phi_new.check_orientation()
-    return GeodesicState(state.t + dt, phi_new, v_new), psi.displacement
+    t = state.t + dt
+    try:
+        y = _rk(f, np.concatenate([state.phi.displacement.data, state.v.data]), dt)
+        phi, v = Diffeo(VectorField(grid, y[:d])), VectorField(grid, y[d:])
+        phi.check_orientation()
+    except ValueError as exc:  # folded map or non-finite samples
+        raise BlowUpError(f"geodesic left the smooth regime at t = {t}: "
+                          f"{exc}") from exc
+    return GeodesicState(t, phi, v), guess
 
 
 def geodesic_step(state: GeodesicState, dt: float, bb: BAssembly | None = None,
                   cfg: GeodesicConfig | None = None) -> GeodesicState:
-    """One RK4 step of d_t(phi, v) = (v, Gamma_phi(v, v))."""
+    """One RK4 step of d_t(phi, v) = (v, Gamma_phi(v, v)); raises
+    BlowUpError when the map folds or a sample turns non-finite."""
     if cfg is None:
         cfg = GeodesicConfig(dt=dt)
     if bb is None:
@@ -287,11 +290,7 @@ def geodesic_solve(u0: VectorField, T: float,
     speeds = [sobolev_norm(u0, 0.0)]
     guess: VectorField | None = None
     for i in range(n_steps):
-        try:
-            state, guess = _geodesic_step(state, cfg.dt, bb, cfg, guess)
-        except ValueError as exc:  # folded map or non-finite samples
-            raise BlowUpError(f"geodesic left the smooth regime at "
-                              f"t = {(i + 1) * cfg.dt}: {exc}") from exc
+        state, guess = _geodesic_step(state, cfg.dt, bb, cfg, guess)
         state = GeodesicState((i + 1) * cfg.dt, state.phi, state.v)
         states.append(state)
         speeds.append(sobolev_norm(state.v, 0.0))
@@ -328,18 +327,13 @@ def flow_of(traj: Trajectory, order=DEFAULT_ORDER) -> list[tuple[float, Diffeo]]
     h = 2.0 * (traj.states[1].t - traj.states[0].t)
 
     out = [(0.0, identity(grid))]
-    g = VectorField.zero(grid)
+    g = np.zeros((grid.dim,) + grid.shape)
     x = np.stack(grid.coords())
     for i in range(0, n, 2):
-        ua = Interpolant(traj.states[i].u, order=order)
-        um = Interpolant(traj.states[i + 1].u, order=order)
-        ub = Interpolant(traj.states[i + 2].u, order=order)
-        k1 = ua.at(x + g.data)
-        k2 = um.at(x + g.data + 0.5 * h * k1)
-        k3 = um.at(x + g.data + 0.5 * h * k2)
-        k4 = ub.at(x + g.data + h * k3)
-        g = VectorField(grid, g.data + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-        out.append((traj.states[i + 2].t, Diffeo(g)))
+        # stage fraction c = 0, 1/2, 1 reads state i, i + 1, i + 2
+        u = [Interpolant(st.u, order=order) for st in traj.states[i:i + 3]]
+        g = _rk(lambda c, y: u[int(2 * c)].at(x + y), g, h)
+        out.append((traj.states[i + 2].t, Diffeo(VectorField(grid, g))))
     return out
 
 

@@ -155,6 +155,17 @@ class TestSimulate:
         assert code == EXIT_OK
         assert (out / "final_phi.egl").exists()
 
+    def test_geodesic_rk2_is_config_error(self, tmp_path, capsys):
+        # the geodesic integrator has no RK2; the config must not claim one
+        f = tmp_path / "run.ini"
+        f.write_text("[run]\ndynamics = geodesic\nmethod = rk2\n")
+        out = tmp_path / "g"
+        code = run(["simulate", "--config", f, "--N", "16", "--dt", "0.01",
+                    "--T", "0.02", "--out", out])
+        assert code == EXIT_CONFIG
+        assert "the geodesic integrator is RK4 only" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_geodesic_folding_step_is_numeric_failure(self, tmp_path):
         # dt * |du| = 2: the stage maps fold and cannot be inverted
         code = run(["simulate", "--N", "16", "--dt", "0.1", "--T", "0.1",

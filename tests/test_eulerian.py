@@ -19,6 +19,7 @@ from eulerlab import (
     step,
     taylor_green,
 )
+from eulerlab import eulerian
 from eulerlab.bform import BAssembly
 
 from conftest import FullLattice
@@ -169,6 +170,29 @@ def test_solve_is_repeated_step(grid32, rng, method):
     for stored in traj.states[1:]:
         state = step(state, cfg)
         assert np.array_equal(state.u.data, stored.u.data)
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk2"])
+def test_solve_steps_through_module_step(grid16, rng, monkeypatch, method):
+    # one eulerian.step call per time step, looked up on the module: the
+    # benchmark times its units at that boundary
+    calls = []
+    step_ = eulerian.step
+    monkeypatch.setattr(eulerian, "step",
+                        lambda *a: calls.append(a[0].t) or step_(*a))
+    solve(random_div_free(grid16, rng), 0.05, StepperConfig(dt=0.01, method=method))
+    assert calls == pytest.approx([0.0, 0.01, 0.02, 0.03, 0.04], abs=1e-15)
+
+
+def test_rk_stage_fractions():
+    # dy/dt = t^3 (RK4) and t (RK2) are integrated exactly only when f
+    # is told each stage's fraction c of the step
+    dt = 0.3
+    y = np.array([1.0])
+    rk4 = eulerian._rk(lambda c, y: np.array([(c * dt) ** 3]), y, dt)
+    rk2 = eulerian._rk(lambda c, y: np.array([c * dt]), y, dt, method="rk2")
+    assert rk4[0] == pytest.approx(1.0 + dt ** 4 / 4.0, rel=1e-15)
+    assert rk2[0] == pytest.approx(1.0 + dt ** 2 / 2.0, rel=1e-15)
 
 
 def test_monitors_match_field_norms(grid32, rng):

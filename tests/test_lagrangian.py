@@ -8,6 +8,7 @@ from eulerlab import (
     BlowUpError,
     Diffeo,
     GeodesicConfig,
+    GeodesicState,
     Grid,
     StepperConfig,
     VectorField,
@@ -20,6 +21,7 @@ from eulerlab import (
     exp_map,
     flow_of,
     geodesic_solve,
+    geodesic_step,
     identity,
     invert,
     jacobian,
@@ -304,6 +306,15 @@ class TestGeodesicFailures:
         assert isinstance(err.value.__cause__, ValueError)
         assert "non-finite" in str(err.value)
 
+    def test_public_step_reports_blow_up(self, grid16, rng, monkeypatch):
+        # geodesic_step reports a folded map as step does: BlowUpError
+        monkeypatch.setattr(lagrangian, "det_jacobian",
+                            lambda phi: ScalarField(phi.grid, -np.ones(phi.grid.shape)))
+        u0 = random_div_free(grid16, rng, norm_value=0.2)
+        with pytest.raises(BlowUpError, match="orientation") as err:
+            geodesic_step(GeodesicState(0.0, identity(grid16), u0), 0.05)
+        assert isinstance(err.value.__cause__, ValueError)
+
     def test_non_finite_newton_iterate(self, grid16, rng, monkeypatch):
         # a negative tolerance is never met, not even by a residual that
         # rounds to 0, so the contraction stalls and Newton fires; its
@@ -314,6 +325,90 @@ class TestGeodesicFailures:
         u0 = random_div_free(grid16, rng, norm_value=0.2)
         with pytest.raises(BlowUpError, match="non-finite iterate"):
             geodesic_solve(u0, 0.1, GeodesicConfig(dt=0.05, inversion_tol=-1.0))
+
+
+def _geodesic_step_hand_written(state, dt, bb, cfg, inv_guess):
+    """Reference geodesic step: RK4 written out on the fields g and v
+    separately, each stage's inverse seeding the next inversion."""
+    g, v = state.phi.displacement, state.v
+    kw = dict(bb=bb, order=cfg.order, tol=cfg.inversion_tol)
+    k1v, psi = lagrangian._christoffel(Diffeo(g), v, inv_guess=inv_guess, **kw)
+    k1g = v
+    k2v, psi = lagrangian._christoffel(Diffeo(g + 0.5 * dt * k1g), v + 0.5 * dt * k1v,
+                                       inv_guess=psi.displacement, **kw)
+    k2g = v + 0.5 * dt * k1v
+    k3v, psi = lagrangian._christoffel(Diffeo(g + 0.5 * dt * k2g), v + 0.5 * dt * k2v,
+                                       inv_guess=psi.displacement, **kw)
+    k3g = v + 0.5 * dt * k2v
+    k4v, psi = lagrangian._christoffel(Diffeo(g + dt * k3g), v + dt * k3v,
+                                       inv_guess=psi.displacement, **kw)
+    k4g = v + dt * k3v
+    g_new = g + (dt / 6.0) * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
+    v_new = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    return GeodesicState(state.t + dt, Diffeo(g_new), v_new), psi.displacement
+
+
+def _flow_of_hand_written(traj, order):
+    """Reference flow-map displacements: RK4 written out, a flow step of
+    two solver steps with stages on states i, i + 1, i + 1, i + 2."""
+    grid = traj.states[0].u.grid
+    h = 2.0 * (traj.states[1].t - traj.states[0].t)
+    g = np.zeros((grid.dim,) + grid.shape)
+    x = np.stack(grid.coords())
+    out = [g]
+    for i in range(0, len(traj.states) - 1, 2):
+        ua, um, ub = (Interpolant(traj.states[j].u, order=order)
+                      for j in (i, i + 1, i + 2))
+        k1 = ua.at(x + g)
+        k2 = um.at(x + g + 0.5 * h * k1)
+        k3 = um.at(x + g + 0.5 * h * k2)
+        k4 = ub.at(x + g + h * k3)
+        g = g + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out.append(g)
+    return out
+
+
+class TestSharedRungeKutta:
+    """The geodesic and flow-map integrators step through
+    eulerian._rk and reproduce the hand-written RK4 they replaced."""
+
+    @pytest.mark.parametrize("dim,n,order", [(2, 32, 3), (2, 32, 5), (3, 16, 3)])
+    def test_geodesic_solve_matches_hand_written(self, dim, n, order, rng):
+        grid = Grid(dim=dim, n=n, length=TAU)
+        u0 = random_div_free(grid, rng, norm_value=0.4)
+        cfg = GeodesicConfig(dt=0.02, order=order)
+        traj = geodesic_solve(u0, 0.08, cfg)
+        bb = BAssembly(grid, cutoff=cfg.cutoff)
+        state, guess = GeodesicState(0.0, identity(grid), u0), None
+        for stored in traj.states[1:]:
+            state, guess = _geodesic_step_hand_written(state, cfg.dt, bb, cfg, guess)
+            assert np.array_equal(stored.phi.displacement.data,
+                                  state.phi.displacement.data)
+            assert np.array_equal(stored.v.data, state.v.data)
+
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_flow_of_matches_hand_written(self, grid32, rng, order):
+        u0 = random_div_free(grid32, rng, norm_value=0.4)
+        traj = solve(u0, 0.08, StepperConfig(dt=0.01))
+        got = flow_of(traj, order=order)
+        ref = _flow_of_hand_written(traj, order)
+        assert [t for t, _ in got] == [st.t for st in traj.states[::2]]
+        assert len(got) == len(ref) == 5
+        for (_, phi), g in zip(got, ref):
+            gap = np.max(np.abs(phi.displacement.data - g))
+            assert gap <= 1e-13 * np.max(np.abs(g))
+
+    def test_geodesic_solve_steps_through_module_step(self, grid16, rng,
+                                                      monkeypatch):
+        # one lagrangian._geodesic_step call per time step, looked up on
+        # the module: the benchmark times its units at that boundary
+        calls = []
+        step_ = lagrangian._geodesic_step
+        monkeypatch.setattr(lagrangian, "_geodesic_step",
+                            lambda *a: calls.append(a[1]) or step_(*a))
+        u0 = random_div_free(grid16, rng, norm_value=0.2)
+        geodesic_solve(u0, 0.1, GeodesicConfig(dt=0.025))
+        assert calls == [0.025] * 4
 
 
 class TestFlowAndPullback:
