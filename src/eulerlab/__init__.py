@@ -14,9 +14,7 @@ from .spectral import (
     GridMismatchError,
     MatrixField,
     ScalarField,
-    SpectralMultiplier,
     VectorField,
-    apply_multiplier,
     chi_cutoff,
     chi_symbol,
     dealias,
@@ -24,7 +22,6 @@ from .spectral import (
     random_scalar,
     sobolev_inner,
     sobolev_norm,
-    spectral_truncate,
 )
 from .fields import (
     advect,
@@ -59,7 +56,6 @@ from .lagrangian import (
     GeodesicConfig,
     GeodesicState,
     GeodesicTrajectory,
-    christoffel,
     compose,
     compose_diffeo,
     det_jacobian,

@@ -19,7 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import advect, divergence, jacobian, leray_project
-from .spectral import Grid, ScalarField, VectorField, chi_symbol, sobolev_norm
+from .spectral import (
+    Grid,
+    ScalarField,
+    VectorField,
+    _check_same_grid,
+    chi_symbol,
+    sobolev_norm,
+)
 
 __all__ = ["BAssembly"]
 
@@ -44,7 +51,7 @@ class BAssembly:
 
     def __post_init__(self) -> None:
         g = self.grid
-        low = chi_symbol(self.cutoff).on(g) > 0  # rejects a cutoff <= 0
+        low = chi_symbol(g, self.cutoff) > 0  # rejects a cutoff <= 0
         safe = np.where(g.xi_sq > 0, g.xi_sq, 1.0)
         keep = g.dealias_mask
         pairs = [(i, k) for i in range(g.dim) for k in range(i, g.dim)]
@@ -84,16 +91,16 @@ class BAssembly:
 
     def b1(self, u: VectorField) -> ScalarField:
         """Low-pass piece; output spectrally supported on |xi| <= cutoff."""
-        self._check(u)
+        _check_same_grid(u, self.grid)
         return ScalarField(self.grid, self.grid.irfft(self._b1_hat(u.data)))
 
     def b2(self, u: VectorField) -> ScalarField:
         """High-pass piece; output spectrally supported on |xi| > cutoff."""
-        self._check(u)
+        _check_same_grid(u, self.grid)
         return ScalarField(self.grid, self.grid.irfft(self._b2_hat(jacobian(u).data)))
 
     def _b_hat(self, u: VectorField) -> np.ndarray:
-        self._check(u)
+        _check_same_grid(u, self.grid)
         return self._b1_hat(u.data) + self._b2_hat(jacobian(u).data)
 
     def b(self, u: VectorField) -> ScalarField:
@@ -127,7 +134,3 @@ class BAssembly:
         """
         adv = advect(u)
         return sobolev_norm(self.grad_b(u) - (adv - leray_project(adv)), 0.0)
-
-    def _check(self, u: VectorField) -> None:
-        if u.grid != self.grid:
-            raise ValueError("field does not live on this assembly's grid")

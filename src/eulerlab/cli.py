@@ -16,7 +16,7 @@ import argparse
 import configparser
 import hashlib
 import sys
-from dataclasses import dataclass, fields as dc_fields, replace
+from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +41,6 @@ from .lagrangian import GeodesicConfig, det_jacobian, geodesic_solve
 from .snapshots import SnapshotError, load_snapshot, save_snapshot
 from .spectral import (
     Grid,
-    ScalarField,
     chi_cutoff,
     random_scalar,
     sobolev_norm,
@@ -164,9 +163,9 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def write_svg_loglog(path: Path, series: dict, title: str,
-                     xlabel: str = "k", ylabel: str = "gap") -> None:
-    """Minimal log-log plot: axes, ticks, one polyline per series."""
+def write_svg_loglog(path: Path, series: dict, title: str) -> None:
+    """Minimal log-log plot of gap against k: axes, ticks, one polyline
+    per series."""
     w, h, m = 640, 480, 60
     xs = np.concatenate([np.asarray(s[0], float) for s in series.values()])
     ys = np.concatenate([np.asarray(s[1], float) for s in series.values()])
@@ -193,10 +192,10 @@ def write_svg_loglog(path: Path, series: dict, title: str,
         f'<line x1="{m}" y1="{h-m}" x2="{w-m}" y2="{h-m}" stroke="black"/>',
         f'<line x1="{m}" y1="{m}" x2="{m}" y2="{h-m}" stroke="black"/>',
         f'<text x="{w/2:.0f}" y="{h-16}" text-anchor="middle" '
-        f'font-size="12">{xlabel} (log)</text>',
+        'font-size="12">k (log)</text>',
         f'<text x="18" y="{h/2:.0f}" font-size="12" '
         f'transform="rotate(-90 18 {h/2:.0f})" '
-        f'text-anchor="middle">{ylabel} (log)</text>',
+        'text-anchor="middle">gap (log)</text>',
     ]
     for d in range(int(np.floor(ly0)), int(np.ceil(ly1)) + 1):
         v = 10.0 ** d
@@ -437,6 +436,8 @@ def main(argv: list[str] | None = None) -> int:
                  if k not in ("command", "config") and v is not None}
     try:
         cfg = load_config(args.config, overrides)
+        if args.command != "simulate" and cfg.method != "rk4":
+            raise ConfigError(f"{args.command} integrates with RK4 only")
         if args.command == "simulate":
             return cmd_simulate(cfg)
         if args.command == "verify":

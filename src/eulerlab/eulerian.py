@@ -13,7 +13,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bform import BAssembly
-from .spectral import Grid, ScalarField, VectorField, chi_symbol
+from .spectral import (
+    Grid,
+    ScalarField,
+    VectorField,
+    _check_same_grid,
+    _sobolev_weight,
+    chi_symbol,
+)
 
 __all__ = [
     "BlowUpError",
@@ -26,6 +33,8 @@ __all__ = [
     "div_evolution_residual",
     "energy",
 ]
+
+_SAMPLE_TOL = 1e-9  # how far a requested time may sit from a stored one
 
 
 class BlowUpError(RuntimeError):
@@ -76,9 +85,9 @@ class Trajectory:
     def final(self) -> EulerState:
         return self.states[-1]
 
-    def sample(self, t: float, tol: float = 1e-9) -> EulerState:
+    def sample(self, t: float) -> EulerState:
         idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.states[idx].t - t) > tol:
+        if abs(self.states[idx].t - t) > _SAMPLE_TOL:
             raise KeyError(f"no stored state at t = {t}")
         return self.states[idx]
 
@@ -87,7 +96,7 @@ def rhs(u: VectorField, bb: BAssembly | None = None) -> VectorField:
     """grad B(u) - (u . grad) u."""
     if bb is None:
         bb = BAssembly(u.grid)
-    bb._check(u)
+    _check_same_grid(u, bb.grid)
     return VectorField(u.grid, u.grid.irfft(bb.rhs_hat(u.grid.rfft(u.data))))
 
 
@@ -123,8 +132,8 @@ def _monitors(grid: Grid, s: float):
     """Energy, H^s norm and H^(s-1) norm of the divergence of a velocity
     half spectrum: sums over the half lattice with Hermitian weights."""
     w = grid.weight
-    w_s = w * (1.0 + grid.xi_sq) ** s
-    w_div = w * (1.0 + grid.xi_sq) ** (s - 1.0)
+    w_s = _sobolev_weight(grid, s)
+    w_div = _sobolev_weight(grid, s - 1.0)
 
     def measure(u_hat: np.ndarray) -> tuple[float, float, float]:
         power = np.sum(u_hat.real ** 2 + u_hat.imag ** 2, axis=0)
@@ -203,7 +212,7 @@ def div_evolution_residual(u: VectorField, cutoff: float = 1.0) -> ScalarField:
     keep = grid.dealias_mask
     adv = keep * grid.rfft(np.sum(u.data * grad_d, axis=0))
     sq = keep * grid.rfft(d * d)
-    low = chi_symbol(cutoff).on(grid)
+    low = chi_symbol(grid, cutoff)
     return ScalarField(grid, grid.irfft(low * (2.0 * adv + sq) - adv))
 
 

@@ -26,8 +26,10 @@ __all__ = [
     "biot_savart",
     "mollify",
     "bump",
+    "plateau",
     "div_free_bump",
     "random_div_free",
+    "taylor_green",
 ]
 
 _SKEW_TOL = 1e-8

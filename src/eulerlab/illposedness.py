@@ -24,7 +24,7 @@ import numpy as np
 from .eulerian import BlowUpError, StepperConfig, _step_count, solve
 from .fields import _smooth_step, bump, div_free_bump, vorticity
 from .lagrangian import Diffeo, GeodesicConfig, compose, exp_map, invert
-from .spectral import Grid, ScalarField, VectorField, chi_cutoff, sobolev_norm
+from .spectral import Grid, VectorField, chi_cutoff, sobolev_norm
 
 __all__ = [
     "SeparationSeries",
@@ -162,18 +162,22 @@ def composition_experiment(R: float = 0.1, k_max: int = 13, s: float = 2.5,
     )
 
 
+_PACKET_RADIUS = 0.7  # support radius of the wave packets w_k
+
+
 def solution_map_experiment(R: float = 0.1, k_max: int = 8, s: float = 2.5,
-                            grid: Grid | None = None, u_base: VectorField | None = None,
-                            q_bar: float = 0.2, rho: float = 0.7,
+                            grid: Grid | None = None, q_bar: float = 0.2,
                             dt: float = 1e-2, T: float = 1.0) -> SeparationSeries:
     """Separation series for the time-1 Euler solution map E_1.
 
     Initial pairs: u_k = u_base_smooth + w_k and u~_k = u_k + v_k where
 
+    - u_base = divergence-free bump of H^s norm 1/4, low-passed to half
+      the dealiased band;
     - v = divergence-free bump of norm 1 at a remote point x_star,
       v_k = (R / 4k) v (input gap exactly R/4k);
-    - w_k = divergence-free wave packet at x_star with ||w_k||_s = R/4
-      and carrier wavenumber q_k = k q_bar / R.
+    - w_k = divergence-free wave packet of radius _PACKET_RADIUS at
+      x_star with ||w_k||_s = R/4 and carrier wavenumber q_k = k q_bar / R.
 
     The extra drift v_k displaces the carrier of w_k by O(R/k) over unit
     time; against the carrier wavelength O(R/(k q_bar)) that is an O(1)
@@ -188,9 +192,8 @@ def solution_map_experiment(R: float = 0.1, k_max: int = 8, s: float = 2.5,
         grid = Grid(dim=2, n=128, length=2.0 * np.pi)
     L = grid.length
     x_star = np.array([0.75 * L, 0.75 * L])
-    if u_base is None:
-        u_base = div_free_bump(grid, [0.25 * L, 0.25 * L], r=1.2, s=s,
-                               norm_value=0.25)
+    u_base = div_free_bump(grid, [0.25 * L, 0.25 * L], r=1.2, s=s,
+                           norm_value=0.25)
     # smooth the base to the comfortably resolved band
     xi_band = (grid.n // 3) * 2.0 * np.pi / grid.length
     u0_base = chi_cutoff(u_base, radius=0.5 * xi_band)
@@ -207,8 +210,8 @@ def solution_map_experiment(R: float = 0.1, k_max: int = 8, s: float = 2.5,
             if q_k > 0.85 * xi_band:
                 truncated = True
                 break
-            w_k = div_free_bump(grid, x_star, r=rho, s=s, norm_value=0.25 * R,
-                                modulation=q_k)
+            w_k = div_free_bump(grid, x_star, r=_PACKET_RADIUS, s=s,
+                                norm_value=0.25 * R, modulation=q_k)
             v_k = (0.25 * R / k) * v_dir
             u_k = u0_base + w_k
             u_tilde = u_k + v_k
@@ -234,7 +237,7 @@ def solution_map_experiment(R: float = 0.1, k_max: int = 8, s: float = 2.5,
         extras={"vorticity_gap": np.array(vort_gap),
                 "carrier_q": np.array(q_list)},
         metadata={"R": R, "s": s, "n": grid.n, "length": grid.length,
-                  "q_bar": q_bar, "rho": rho, "dt": dt, "T": T,
+                  "q_bar": q_bar, "rho": _PACKET_RADIUS, "dt": dt, "T": T,
                   "band_truncated": truncated,
                   "experiment": "solution_map"},
     )

@@ -23,10 +23,11 @@ import numpy as np
 
 from .spectral import _Field
 
-__all__ = ["Interpolant", "sample", "DEFAULT_ORDER"]
+__all__ = ["Interpolant", "sample"]
 
 DEFAULT_ORDER = 3
 _NYQUIST_WARN = 1e-6
+_FOURIER_BLOCK = 4096  # query points per trigonometric-sum block
 
 
 class Interpolant:
@@ -92,11 +93,11 @@ class Interpolant:
                                         prefilter=False)
         return vals.reshape(self._comp_shape + pshape)
 
-    def _fourier_at(self, flat: np.ndarray, block: int = 4096) -> np.ndarray:
+    def _fourier_at(self, flat: np.ndarray) -> np.ndarray:
         m = flat.shape[1]
         out = np.empty((self._hat_rows.shape[0], m))
-        for start in range(0, m, block):
-            sl = slice(start, min(start + block, m))
+        for start in range(0, m, _FOURIER_BLOCK):
+            sl = slice(start, min(start + _FOURIER_BLOCK, m))
             phase = flat[:, sl].T @ self._xi_rows.T
             basis = np.exp(1j * phase)
             out[:, sl] = np.real(self._hat_rows @ basis.T)

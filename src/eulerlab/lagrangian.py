@@ -43,7 +43,6 @@ __all__ = [
     "compose_diffeo",
     "invert",
     "det_jacobian",
-    "christoffel",
     "geodesic_step",
     "geodesic_solve",
     "exp_map",
@@ -213,27 +212,13 @@ class GeodesicTrajectory:
     speeds: np.ndarray  # L^2 norm of v per state
 
     @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
-
-    @property
     def final(self) -> GeodesicState:
         return self.states[-1]
 
 
-def christoffel(phi: Diffeo, v: VectorField, bb: BAssembly | None = None,
-                order=DEFAULT_ORDER, inv_guess: VectorField | None = None,
-                tol: float = 1e-10) -> VectorField:
-    """Gamma_phi(v, v) = R_phi grad B(v o phi^{-1})."""
-    gamma, _ = _christoffel(phi, v, bb=bb, order=order, inv_guess=inv_guess,
-                            tol=tol)
-    return gamma
-
-
 def _christoffel(phi, v, bb, order, inv_guess, tol):
+    """(Gamma_phi(v, v), psi = phi^{-1}); Gamma_phi(v, v) = R_phi grad B(v o psi)."""
     _check_same_grid(v, phi.displacement)
-    if bb is None:
-        bb = BAssembly(v.grid)
     psi = invert(phi, order=order, tol=tol, guess=inv_guess)
     u = compose(v, psi, order=order)
     return compose(bb.grad_b(u), phi, order=order), psi

@@ -1,4 +1,4 @@
-"""Periodic grid, Fourier transforms, multiplier operators and Sobolev norms.
+"""Periodic grid, Fourier transforms, the low-pass chi(D) and Sobolev norms.
 
 Coefficient convention: for a field f sampled on the uniform grid of
 [0, L)^dim, the spectral coefficient attached to the wavenumber
@@ -11,7 +11,9 @@ independent of the grid.  All Sobolev norms below use this convention.
 
 Fields are real, so f_hat[-k] = conj(f_hat[k]) and the half lattice
 0 <= k_last <= N/2 of ``Grid.rfft`` holds every coefficient; all
-spectra, symbols and masks here live on it.  A sum over the full lattice
+spectra and masks here live on it, as does the one Fourier multiplier
+besides derivatives and the 2/3 mask: the ``chi_symbol`` indicator of
+|xi| <= radius behind the sharp low-pass chi(D).  A sum over the full lattice
 is the sum over the half lattice weighted by ``Grid.weight``.
 """
 
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -30,11 +31,8 @@ __all__ = [
     "ScalarField",
     "VectorField",
     "MatrixField",
-    "SpectralMultiplier",
     "chi_symbol",
-    "apply_multiplier",
     "chi_cutoff",
-    "spectral_truncate",
     "partial_derivative",
     "dealias",
     "sobolev_norm",
@@ -126,17 +124,9 @@ class Grid:
     def spacing(self) -> float:
         return self.length / self.n
 
-    @property
-    def xi_max(self) -> float:
-        """Largest resolved physical wavenumber per axis (Nyquist)."""
-        return np.pi / self.spacing
-
-    def axis_coords(self) -> np.ndarray:
-        return np.arange(self.n) * self.spacing
-
     def coords(self) -> tuple[np.ndarray, ...]:
         """Full coordinate arrays, one per axis, each of shape ``self.shape``."""
-        x = self.axis_coords()
+        x = np.arange(self.n) * self.spacing
         return tuple(np.meshgrid(*([x] * self.dim), indexing="ij"))
 
     # -- transforms ----------------------------------------------------
@@ -166,12 +156,11 @@ def _check_same_grid(*objs) -> Grid:
 class _Field:
     """Samples of a (possibly tensor-valued) field with a lazy spectral cache."""
 
-    kind: str = ""
     _comp_axes: int = 0
 
     def __init__(self, grid: Grid, data: np.ndarray, hat: np.ndarray | None = None):
         data = np.asarray(data, dtype=np.float64)
-        expected = self._expected_shape(grid)
+        expected = (grid.dim,) * self._comp_axes + grid.shape
         if data.shape != expected:
             raise ValueError(f"{type(self).__name__} data shape {data.shape} != {expected}")
         if not np.all(np.isfinite(data)):
@@ -180,9 +169,6 @@ class _Field:
         self.data = data
         self.data.flags.writeable = False
         self._hat = hat
-
-    def _expected_shape(self, grid: Grid) -> tuple[int, ...]:
-        return (grid.dim,) * self._comp_axes + grid.shape
 
     @property
     def hat(self) -> np.ndarray:
@@ -224,25 +210,15 @@ class _Field:
 
 
 class ScalarField(_Field):
-    kind = "scalar"
     _comp_axes = 0
 
     @classmethod
     def zero(cls, grid: Grid) -> "ScalarField":
         return cls(grid, np.zeros(grid.shape))
 
-    @classmethod
-    def from_function(cls, grid: Grid, f: Callable) -> "ScalarField":
-        return cls(grid, f(*grid.coords()))
-
 
 class VectorField(_Field):
-    kind = "vector"
     _comp_axes = 1
-
-    def component(self, i: int) -> ScalarField:
-        return ScalarField(self.grid, self.data[i],
-                           hat=None if self._hat is None else self._hat[i])
 
     @classmethod
     def zero(cls, grid: Grid) -> "VectorField":
@@ -253,21 +229,9 @@ class VectorField(_Field):
         grid = _check_same_grid(*comps)
         return cls(grid, np.stack([c.data for c in comps]))
 
-    @classmethod
-    def from_function(cls, grid: Grid, f: Callable) -> "VectorField":
-        return cls(grid, np.stack(f(*grid.coords())))
-
 
 class MatrixField(_Field):
-    kind = "matrix"
     _comp_axes = 2
-
-    def entry(self, i: int, j: int) -> ScalarField:
-        return ScalarField(self.grid, self.data[i, j])
-
-    @classmethod
-    def zero(cls, grid: Grid) -> "MatrixField":
-        return cls(grid, np.zeros((grid.dim, grid.dim) + grid.shape))
 
     def skew_defect(self) -> float:
         """sup-norm of Omega + Omega^T (zero for a vorticity field)."""
@@ -275,51 +239,22 @@ class MatrixField(_Field):
 
 
 # ---------------------------------------------------------------------------
-# multiplier operators
+# spectral operators
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpectralMultiplier:
-    """Real even symbol m(xi) applied pointwise on the half lattice.
-
-    ``symbol`` receives the broadcastable wavenumber arrays (one per axis)
-    plus |xi|^2 and must return a real array; its value at xi = 0 must be
-    finite (1/|xi|^2-type symbols define it explicitly).
-    """
-
-    symbol: Callable
-
-    def on(self, grid: Grid) -> np.ndarray:
-        m = np.asarray(self.symbol(grid.xi_axes, grid.xi_sq), dtype=np.float64)
-        m = np.broadcast_to(m, grid.xi_sq.shape)
-        if not np.all(np.isfinite(m)):
-            raise ValueError("multiplier symbol evaluated to a non-finite value")
-        return m
-
-
-def chi_symbol(radius: float = 1.0) -> SpectralMultiplier:
-    """Sharp low-pass: indicator of the closed ball |xi| <= radius."""
+def chi_symbol(grid: Grid, radius: float = 1.0) -> np.ndarray:
+    """Sharp low-pass symbol on the half lattice: 1.0 on the closed ball
+    |xi| <= radius, 0.0 outside."""
     if not radius > 0:
         raise ValueError(f"cutoff radius must be positive, got {radius}")
     r2 = radius * radius * (1.0 + 1e-12)
-    return SpectralMultiplier(lambda xi, xi_sq: (xi_sq <= r2).astype(np.float64))
-
-
-def apply_multiplier(m: SpectralMultiplier | np.ndarray, f: _Field):
-    mult = m.on(f.grid) if isinstance(m, SpectralMultiplier) else m
-    return type(f).from_hat(f.grid, f.hat * mult)
+    return (grid.xi_sq <= r2).astype(np.float64)
 
 
 def chi_cutoff(f: _Field, radius: float = 1.0):
-    return apply_multiplier(chi_symbol(radius), f)
-
-
-def spectral_truncate(f: _Field, k: float):
-    """Keep modes with |xi| <= k (the operator chi_k(D))."""
-    if not k >= 1:
-        raise ValueError(f"truncation radius must be >= 1, got {k}")
-    return chi_cutoff(f, radius=float(k))
+    """The low-pass chi(D): keep the modes with |xi| <= radius."""
+    return type(f).from_hat(f.grid, f.hat * chi_symbol(f.grid, radius))
 
 
 def partial_derivative(f: _Field, axis: int):

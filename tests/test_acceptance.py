@@ -36,7 +36,6 @@ from eulerlab import (
     sobolev_norm,
     solution_map_experiment,
     solve,
-    spectral_truncate,
     taylor_green,
     vorticity,
     vorticity_pullback,

@@ -8,12 +8,14 @@ import pytest
 from eulerlab import (
     BAssembly,
     Grid,
+    GridMismatchError,
     advect,
     divergence,
     gradient,
     leray_project,
     random_div_free,
     random_scalar,
+    rhs,
     sobolev_norm,
     taylor_green,
 )
@@ -105,3 +107,13 @@ def test_rejects_mismatched_grid(bb, rng):
     other = Grid(dim=2, n=16, length=TAU)
     with pytest.raises(Exception):
         bb.b(random_div_free(other, rng))
+
+
+def test_mismatched_grid_is_grid_mismatch_error(grid16, grid32, rng):
+    # the assembly shares the package's grid check, and so does rhs
+    bb16 = BAssembly(grid16)
+    u32 = random_div_free(grid32, rng)
+    for evaluate in (bb16.b, bb16.b1, bb16.b2, bb16.grad_b,
+                     lambda u: rhs(u, bb16)):
+        with pytest.raises(GridMismatchError):
+            evaluate(u32)

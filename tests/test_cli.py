@@ -105,6 +105,19 @@ class TestExitCodes:
                     "--out", tmp_path / "s"])
         assert code == EXIT_NUMERIC
 
+    @pytest.mark.parametrize("command", ["verify", "illposedness"])
+    def test_rk2_outside_simulate_is_2(self, command, tmp_path, capsys):
+        # only simulate steps with the configured method; the other
+        # commands integrate with RK4 and must not record rk2 in a hash
+        f = tmp_path / "run.ini"
+        f.write_text("[run]\nmethod = rk2\n")
+        out = tmp_path / "o"
+        code = run([command, "--config", f, "--N", "16", "--dt", "0.01",
+                    "--out", out])
+        assert code == EXIT_CONFIG
+        assert f"{command} integrates with RK4 only" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_solution_map_time_not_multiple_of_dt_is_2(self, tmp_path, capsys):
         code = run(["illposedness", "--experiment", "solution-map", "--N", "16",
                     "--T", "0.0015", "--dt", "0.001", "--out", tmp_path / "s"])

@@ -1,4 +1,4 @@
-"""Grid, field containers, Fourier multipliers, Sobolev norms."""
+"""Grid, field containers, the low-pass chi(D), Sobolev norms."""
 
 import numpy as np
 import pytest
@@ -16,7 +16,6 @@ from eulerlab import (
     random_scalar,
     sobolev_inner,
     sobolev_norm,
-    spectral_truncate,
 )
 
 from conftest import FullLattice
@@ -112,7 +111,7 @@ class TestSobolevNorm:
 
 class TestChiCutoff:
     def test_symbol_range(self, grid16):
-        sym = chi_symbol(1.0).on(grid16)
+        sym = chi_symbol(grid16, 1.0)
         assert np.all((sym == 0.0) | (sym == 1.0))
         assert sym.flat[0] == 1.0  # zero mode kept by the low-pass
 
@@ -159,7 +158,7 @@ class TestFieldAlgebra:
 
     def test_truncate_removes_high_modes(self, grid16, rng):
         f = random_scalar(grid16, rng)
-        t = spectral_truncate(f, 2.0)
+        t = chi_cutoff(f, 2.0)
         xi_sq = grid16.xi_sq
         assert np.max(np.abs(t.hat[xi_sq > 4.0 + 1e-9])) == 0.0
 
