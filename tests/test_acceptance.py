@@ -9,7 +9,6 @@ import time
 import warnings
 
 import numpy as np
-import pytest
 
 from eulerlab import (
     BAssembly,

@@ -1,7 +1,5 @@
 """The quadratic form B = B1 + B2 replacing the pressure gradient."""
 
-import warnings
-
 import numpy as np
 import pytest
 
@@ -11,8 +9,6 @@ from eulerlab import (
     GridMismatchError,
     advect,
     divergence,
-    gradient,
-    leray_project,
     random_div_free,
     random_scalar,
     rhs,

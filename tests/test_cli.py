@@ -7,7 +7,6 @@ import pytest
 from eulerlab import VectorField
 from eulerlab.cli import (
     EXIT_CONFIG,
-    EXIT_FAIL,
     EXIT_NUMERIC,
     EXIT_OK,
     ConfigError,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from eulerlab import Grid, ScalarField, VectorField, random_div_free, random_scalar
-from eulerlab.interp import Interpolant, sample
+from eulerlab.interp import Interpolant, _nyquist_power, sample
 
 from conftest import FullLattice
 
@@ -95,6 +95,54 @@ class TestNyquistWarning:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             Interpolant(f, order=3)
+
+
+class TestNyquistPower:
+    """The transform-free (total, Nyquist) power against the Hermitian-
+    weighted half-spectrum sum it replaces."""
+
+    @pytest.mark.parametrize("planted", [False, True])
+    @pytest.mark.parametrize("rank", [0, 1, 2])
+    @pytest.mark.parametrize("dim,n", [(2, 16), (2, 32), (3, 16), (3, 32)])
+    def test_matches_fft_reference(self, rng, dim, n, rank, planted):
+        grid = Grid(dim=dim, n=n, length=TAU)
+        comps = (dim,) * rank
+        data = np.stack([random_scalar(grid, rng, max_xi=3.0).data
+                         for _ in range(int(np.prod(comps)))]).reshape(comps + grid.shape)
+        if planted:
+            # white noise: power on every Nyquist plane and their intersections
+            data = data + 0.3 * rng.standard_normal(data.shape)
+        hat = grid.rfft(data)
+        power = grid.weight * (hat.real ** 2 + hat.imag ** 2)
+        ref_total = float(np.sum(power))
+        ref_nyq = float(np.sum(np.where(grid.nyquist_mask, power, 0.0)))
+        total, nyq = _nyquist_power(grid, data)
+        assert abs(total - ref_total) <= 1e-13 * ref_total
+        assert abs(nyq - ref_nyq) <= 1e-13 * ref_total
+        if planted:
+            assert abs(nyq - ref_nyq) <= 1e-13 * ref_nyq
+        else:
+            assert ref_nyq <= 1e-20 * ref_total
+
+
+class TestZeroComponents:
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_zero_row_is_exact_and_other_row_unchanged(self, grid32, rng, points, order):
+        p = random_scalar(grid32, rng).data
+        vals = Interpolant(VectorField(grid32, np.stack([p, np.zeros_like(p)])),
+                           order=order).at(points)
+        assert np.all(vals[1] == 0.0)
+        assert np.array_equal(vals[0],
+                              Interpolant(ScalarField(grid32, p), order=order).at(points))
+
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_all_zero_field_interpolates_to_zero(self, grid16, grid3d, rng, order):
+        for grid in (grid16, grid3d):
+            u = VectorField(grid, np.zeros((grid.dim,) + grid.shape))
+            pts = rng.uniform(-TAU, 2.0 * TAU, size=(grid.dim, 5, 40))
+            vals = Interpolant(u, order=order).at(pts)
+            assert vals.shape == (grid.dim, 5, 40)
+            assert np.all(vals == 0.0)
 
 
 def bspline_weights(f, order):

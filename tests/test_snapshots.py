@@ -6,7 +6,6 @@ import pytest
 from eulerlab import (
     Diffeo,
     Grid,
-    ScalarField,
     SnapshotError,
     load_snapshot,
     random_div_free,
