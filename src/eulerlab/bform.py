@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,9 +42,13 @@ class BAssembly:
     sum B1 + B2 is independent of it up to the band bookkeeping, so any
     positive value yields a consistent pressure.
 
-    Everything is evaluated on half spectra (``Grid.rfft``): one inverse
-    transform per factor (u and du) and one forward transform per
-    product, with the 2/3-rule mask folded into the precomputed symbols.
+    Everything is evaluated on half spectra (``Grid.rfft``), with the
+    2/3-rule mask folded into the precomputed symbols.  ``rhs_hat`` runs
+    in buffers the assembly owns, allocated on its first call: one
+    inverse transform for all planes of (u, du), the products, trace and
+    advection written into one real stack, and one forward transform for
+    all of them.  Those buffers make an assembly unsafe to share between
+    threads.
     """
 
     grid: Grid
@@ -65,43 +70,83 @@ class BAssembly:
         # B2: -(1 - chi(xi)) / |xi|^2 on the trace sum_ik d_i u_k d_k u_i
         b2_sym = np.where(~low & keep, -1.0 / safe, 0.0)
         object.__setattr__(self, "_pairs", pairs)
+        object.__setattr__(self, "_low", low)
         object.__setattr__(self, "_b1_symbol", b1_sym)
         object.__setattr__(self, "_b2_symbol", b2_sym)
 
     # -- half-spectrum core ----------------------------------------------
 
-    def _b1_hat(self, u: np.ndarray) -> np.ndarray:
-        prods = np.stack([u[i] * u[k] for i, k in self._pairs])
-        return np.sum(self._b1_symbol * self.grid.rfft(prods), axis=0)
+    def _products(self, u: np.ndarray, du: np.ndarray, out: np.ndarray) -> None:
+        """Write the products u_i u_k (i <= k) and the trace
+        sum_ik d_i u_k d_k u_i into the planes of ``out``."""
+        for p, (i, k) in enumerate(self._pairs):
+            np.multiply(u[i], u[k], out=out[p])
+        np.einsum("ik...,ki...->...", du, du, out=out[len(self._pairs)])
 
-    def _b2_hat(self, du: np.ndarray) -> np.ndarray:
-        trace = np.einsum("ik...,ki...->...", du, du)
-        return self._b2_symbol * self.grid.rfft(trace)
+    def _contract(self, spec: np.ndarray) -> np.ndarray:
+        """Half spectrum of B from the spectra of ``_products``, contracted
+        with the B1 and B2 symbols in place; returns the plane spec[0]."""
+        m = len(self._pairs)
+        np.multiply(self._b1_symbol, spec[:m], out=spec[:m])
+        np.multiply(self._b2_symbol, spec[m], out=spec[m])
+        for p in range(1, m + 1):
+            np.add(spec[0], spec[p], out=spec[0])
+        return spec[0]
+
+    @cached_property
+    def _workspace(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``rhs_hat``'s buffers: a complex stack for the spectra of (u, du)
+        and later of the products, the real samples of (u, du), and the
+        real products, trace and advection."""
+        g, m = self.grid, len(self._pairs)
+        factors = g.dim + g.dim * g.dim
+        return (np.empty((factors,) + g.xi_sq.shape, dtype=np.complex128),
+                np.empty((factors,) + g.shape),
+                np.empty((m + 1 + g.dim,) + g.shape))
 
     def rhs_hat(self, u_hat: np.ndarray) -> np.ndarray:
-        """Half spectrum of grad B(u) - (u . grad) u from that of u."""
-        g = self.grid
-        u = g.irfft(u_hat)
-        du = g.irfft(u_hat[:, None] * g.deriv)  # du[i, j] = d u_i / d x_j
-        b_hat = self._b1_hat(u) + self._b2_hat(du)
-        adv = g.rfft(sum(du[:, k] * u[k] for k in range(g.dim)))
-        return g.deriv * b_hat - g.dealias_mask * adv
+        """Half spectrum of grad B(u) - (u . grad) u from that of u; a new
+        array, ``u_hat`` is left untouched."""
+        g, d, m = self.grid, self.grid.dim, len(self._pairs)
+        spec, samples, planes = self._workspace
+        np.copyto(spec[:d], u_hat)
+        # du_hat[i, j] = u_hat_i * i xi_j
+        np.multiply(u_hat[:, None], g.deriv,
+                    out=spec[d:].reshape((d, d) + g.xi_sq.shape))
+        g._irfft_consuming(spec, out=samples)
+        u, du = samples[:d], samples[d:].reshape((d, d) + g.shape)
+        self._products(u, du, planes)
+        # advection sum_k u_k d_k u_i, consuming du
+        adv = planes[m + 1:]
+        np.multiply(du, u, out=du)
+        np.sum(du, axis=1, out=adv)
+        spec = g.rfft(planes, out=spec[:m + 1 + d])
+        out = g.deriv * self._contract(spec)
+        adv_hat = spec[m + 1:]
+        np.multiply(g.dealias_mask, adv_hat, out=adv_hat)
+        return np.subtract(out, adv_hat, out=out)
 
-    # -- the two pieces --------------------------------------------------
-
-    def b1(self, u: VectorField) -> ScalarField:
-        """Low-pass piece; output spectrally supported on |xi| <= cutoff."""
-        _check_same_grid(u, self.grid)
-        return ScalarField(self.grid, self.grid.irfft(self._b1_hat(u.data)))
-
-    def b2(self, u: VectorField) -> ScalarField:
-        """High-pass piece; output spectrally supported on |xi| > cutoff."""
-        _check_same_grid(u, self.grid)
-        return ScalarField(self.grid, self.grid.irfft(self._b2_hat(jacobian(u).data)))
+    # -- B, its two pieces and its gradient ---------------------------------
 
     def _b_hat(self, u: VectorField) -> np.ndarray:
         _check_same_grid(u, self.grid)
-        return self._b1_hat(u.data) + self._b2_hat(jacobian(u).data)
+        planes = np.empty((len(self._pairs) + 1,) + self.grid.shape)
+        self._products(u.data, jacobian(u).data, planes)
+        return self._contract(self.grid.rfft(planes))
+
+    # B1 and B2 have symbols on disjoint modes, so each is B on its band
+
+    def b1(self, u: VectorField) -> ScalarField:
+        """Low-pass piece; output spectrally supported on |xi| <= cutoff.
+        Costs a full evaluation of B, Jacobian included."""
+        return ScalarField(self.grid, self.grid.irfft(
+            np.where(self._low, self._b_hat(u), 0.0)))
+
+    def b2(self, u: VectorField) -> ScalarField:
+        """High-pass piece; output spectrally supported on |xi| > cutoff.
+        Costs a full evaluation of B."""
+        return ScalarField(self.grid, self.grid.irfft(
+            np.where(self._low, 0.0, self._b_hat(u))))
 
     def b(self, u: VectorField) -> ScalarField:
         return ScalarField(self.grid, self.grid.irfft(self._b_hat(u)))

@@ -115,10 +115,11 @@ def _rk(f, y: np.ndarray, dt: float, method: str = "rk4") -> np.ndarray:
 def step(state: EulerState, cfg: StepperConfig,
          bb: BAssembly | None = None) -> EulerState:
     """One explicit Runge-Kutta step on the half spectrum; aborts on
-    non-finite samples."""
+    non-finite samples and rejects an assembly built on another grid."""
     grid = state.u.grid
     if bb is None:
         bb = BAssembly(grid, cutoff=cfg.cutoff)
+    _check_same_grid(state.u, bb)
     u_hat = grid.rfft(state.u.data) if state.u_hat is None else state.u_hat
     u_next = _rk(lambda c, y: bb.rhs_hat(y), u_hat, cfg.dt, cfg.method)
     try:

@@ -131,17 +131,38 @@ class Grid:
 
     # -- transforms ----------------------------------------------------
 
-    def rfft(self, values: np.ndarray) -> np.ndarray:
-        """Half spectrum of real samples over the last ``dim`` axes."""
-        hat = np.fft.rfftn(values, axes=tuple(range(-self.dim, 0)))
-        hat /= self.size
-        return hat
+    def rfft(self, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Half spectrum of real samples over the last ``dim`` axes,
+        written into ``out`` (complex, half-lattice shape) when given.
 
-    def irfft(self, hat: np.ndarray) -> np.ndarray:
-        """Real samples of a half spectrum (inverse of ``rfft``)."""
-        values = np.fft.irfftn(hat, s=self.shape, axes=tuple(range(-self.dim, 0)))
-        values *= self.size
-        return values
+        ``norm="forward"`` puts the 1/n^dim of the coefficient convention
+        into the transform: it scales each axis by 1/n, a power of two, so
+        the result equals the unnormalised transform divided by n^dim
+        exactly, and no complex division pass is needed.
+        """
+        return np.fft.rfftn(values, axes=tuple(range(-self.dim, 0)),
+                            norm="forward", out=out)
+
+    def irfft(self, hat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Real samples of a half spectrum (inverse of ``rfft``), written
+        into ``out`` (real, grid shape) when given; ``hat`` is left
+        untouched.
+
+        ``norm="forward"`` leaves the inverse unscaled; scaling each axis
+        by 1/n and the result by n^dim, powers of two, would give the same
+        numbers exactly.
+        """
+        return self._irfft_consuming(np.array(hat, dtype=np.complex128), out)
+
+    def _irfft_consuming(self, hat: np.ndarray,
+                         out: np.ndarray | None = None) -> np.ndarray:
+        """``irfft`` that uses the complex array ``hat`` as scratch and
+        leaves it overwritten: the complex transforms along every axis but
+        the last run in place on it, in the axis order of ``irfftn``, so no
+        complex temporary is allocated."""
+        for axis in range(-self.dim, -1):
+            np.fft.ifft(hat, axis=axis, norm="forward", out=hat)
+        return np.fft.irfft(hat, n=self.n, axis=-1, norm="forward", out=out)
 
 
 def _check_same_grid(*objs) -> Grid:

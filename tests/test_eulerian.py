@@ -1,5 +1,7 @@
 """Time integration of the velocity equation d_t u = grad B(u) - (u.grad)u."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from eulerlab import (
     BlowUpError,
     EulerState,
     Grid,
+    GridMismatchError,
     StepperConfig,
     VectorField,
     div_evolution_residual,
@@ -214,18 +217,75 @@ def test_rhs_hat_transform_count(grid32, rng, monkeypatch):
     planes = {"rfft": 0, "irfft": 0}
     half = grid32.xi_sq.size
 
-    def counted(name, per_plane):
-        orig = getattr(Grid, name)
+    def counted(name, per_plane, attr):
+        orig = getattr(Grid, attr)
 
-        def wrapper(self, arr):
+        def wrapper(self, arr, *args, **kwargs):
             planes[name] += np.size(arr) // per_plane
-            return orig(self, arr)
-        monkeypatch.setattr(Grid, name, wrapper)
+            return orig(self, arr, *args, **kwargs)
+        monkeypatch.setattr(Grid, attr, wrapper)
 
-    counted("rfft", grid32.size)
-    counted("irfft", half)
+    counted("rfft", grid32.size, "rfft")
+    # every inverse transform, Grid.irfft's included, runs through this
+    counted("irfft", half, "_irfft_consuming")
     bb = BAssembly(grid32)
     u_hat = grid32.rfft(random_div_free(grid32, rng).data)
     planes.update(dict.fromkeys(planes, 0))
     bb.rhs_hat(u_hat)
     assert planes == {"rfft": 6, "irfft": 6}
+
+
+def _white_noise_hat(grid, rng):
+    return grid.rfft(0.3 * rng.standard_normal((grid.dim,) + grid.shape))
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+@pytest.mark.parametrize("cutoff", [1.0, 3.0])
+def test_rhs_hat_equals_unbuffered_expression(dim, n, cutoff, rng):
+    # the workspace evaluation reproduces, value for value, the plain
+    # expression with one temporary per product
+    grid = Grid(dim=dim, n=n, length=2.0 * np.pi)
+    bb = BAssembly(grid, cutoff=cutoff)
+    u_hat = _white_noise_hat(grid, rng)
+    u, du = grid.irfft(u_hat), grid.irfft(u_hat[:, None] * grid.deriv)
+    prods = np.stack([u[i] * u[k] for i, k in bb._pairs])
+    b_hat = (np.sum(bb._b1_symbol * grid.rfft(prods), axis=0)
+             + bb._b2_symbol * grid.rfft(np.einsum("ik...,ki...->...", du, du)))
+    adv = grid.rfft(sum(du[:, k] * u[k] for k in range(dim)))
+    expect = grid.deriv * b_hat - grid.dealias_mask * adv
+    assert np.array_equal(bb.rhs_hat(u_hat), expect)
+
+
+def test_rhs_hat_keeps_input_and_earlier_results(grid3d, rng):
+    bb = BAssembly(grid3d)
+    a_hat, b_hat = _white_noise_hat(grid3d, rng), _white_noise_hat(grid3d, rng)
+    a_copy = a_hat.copy()
+    first = bb.rhs_hat(a_hat)
+    kept = first.copy()
+    assert np.array_equal(a_hat, a_copy)
+    second = bb.rhs_hat(b_hat)
+    assert np.array_equal(first, kept)
+    assert not np.array_equal(second, kept)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 128), (3, 32)])
+def test_rhs_hat_allocates_little_beyond_its_result(dim, n, rng):
+    # after the first call has built the workspace, a call allocates its
+    # result and small buffers only, not one temporary per product
+    grid = Grid(dim=dim, n=n, length=2.0 * np.pi)
+    bb = BAssembly(grid)
+    u_hat = _white_noise_hat(grid, rng)
+    bb.rhs_hat(u_hat)
+    tracemalloc.start()
+    try:
+        result = bb.rhs_hat(u_hat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * result.nbytes
+
+
+def test_step_rejects_assembly_on_other_grid(grid16, grid32, rng):
+    state = EulerState(0.0, random_div_free(grid32, rng))
+    with pytest.raises(GridMismatchError):
+        step(state, StepperConfig(dt=0.01), BAssembly(grid16))

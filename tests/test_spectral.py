@@ -47,6 +47,32 @@ class TestGrid:
         data = np.full(grid16.shape, 3.5)
         assert abs(grid16.rfft(data)[0, 0] - 3.5) < 1e-14
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_transforms_into_out(self, dim, rng):
+        # out= gives the same numbers and leaves the input untouched
+        g = Grid(dim=dim, n=8)
+        data = rng.standard_normal((2,) + g.shape)
+        hat = g.rfft(data)
+        hat_out = np.empty_like(hat)
+        assert g.rfft(data, out=hat_out) is hat_out
+        assert np.array_equal(hat_out, hat)
+        values = np.empty_like(data)
+        assert g.irfft(hat_out, out=values) is values
+        assert np.array_equal(hat_out, hat)
+        assert np.array_equal(values, np.fft.irfftn(
+            hat, s=g.shape, axes=tuple(range(-dim, 0)), norm="forward"))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_irfft_consuming_overwrites_its_input(self, dim, rng):
+        # the in-place inverse gives irfft's numbers and spends hat on them
+        g = Grid(dim=dim, n=8)
+        hat = g.rfft(rng.standard_normal((2,) + g.shape))
+        scratch = hat.copy()
+        values = np.empty((2,) + g.shape)
+        assert g._irfft_consuming(scratch, out=values) is values
+        assert np.array_equal(values, g.irfft(hat))
+        assert not np.array_equal(scratch, hat)
+
     def test_frequency_axis_spacing(self):
         g = Grid(dim=2, n=16, length=4.0 * np.pi)
         assert np.isclose(np.sort(g.xi_axes[0].ravel())[g.n // 2 + 1], 0.5)
