@@ -73,7 +73,10 @@ class RunConfig:
     seed: int = 0
 
     def validated(self) -> "RunConfig":
+        non_finite = [f.name for f in dc_fields(self)
+                      if f.type == "float" and not np.isfinite(getattr(self, f.name))]
         checks = [
+            (not non_finite, f"{', '.join(non_finite)} must be finite"),
             (self.dim in (2, 3), "dim must be 2 or 3"),
             (self.n >= 8 and (self.n & (self.n - 1)) == 0,
              "n must be a power of two >= 8"),

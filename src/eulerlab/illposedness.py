@@ -62,6 +62,8 @@ class SeparationSeries:
 
     def input_gap_slope(self) -> float:
         """Least-squares slope of log(input_gap) vs log(k)."""
+        if len(self.k) < 2:
+            raise ValueError(f"a slope needs at least two rows, got {len(self.k)}")
         return float(np.polyfit(np.log(self.k), np.log(self.input_gap), 1)[0])
 
 
@@ -105,6 +107,8 @@ def composition_experiment(R: float = 0.1, k_max: int = 13, s: float = 2.5,
         grid = Grid(dim=2, n=1024, length=2.0 * np.pi)
     if not (0 < 2.0 * delta1 < M < 1.0):
         raise ValueError("need 0 < 2*delta1 < M < 1 for support separation")
+    if k_max < 2:
+        raise ValueError(f"k_max must be >= 2 for an input-gap slope, got {k_max}")
     L = grid.length
     x_star = np.array([0.25 * L, 0.25 * L])
     x_base = np.array([0.25 * L, 0.75 * L])

@@ -48,8 +48,7 @@ def save_snapshot(path, obj) -> None:
         planes = [obj.displacement.data[i] for i in range(grid.dim)]
     elif isinstance(obj, MatrixField):
         grid = obj.grid
-        scale = float(np.max(np.abs(obj.data)))
-        if obj.skew_defect() <= 1e-10 * max(scale, 1.0):
+        if obj.skew_defect() == 0.0:  # exact, so the round trip is lossless
             kind = KIND_SKEW
             planes = [obj.data[i, j] for i, j in _upper_pairs(grid.dim)]
         else:
@@ -80,17 +79,20 @@ def load_snapshot(path, grid: Grid | None = None):
     magic, dim, n, length, kind, ncomp = _HEADER.unpack_from(raw)
     if magic != _MAGIC:
         raise SnapshotError(f"{path}: bad magic {magic!r}")
-    file_grid = Grid(dim=dim, n=n, length=length)
-    if grid is not None and grid != file_grid:
-        raise SnapshotError(f"{path}: grid mismatch ({file_grid} vs {grid})")
-    grid = file_grid
-
-    expected = ncomp * grid.size * 8
+    # the size check comes first: a Grid allocates O(n^dim) lattice tables
+    expected = ncomp * n**dim * 8
     payload = raw[_HEADER.size:]
     if len(payload) != expected:
         raise SnapshotError(
             f"{path}: payload is {len(payload)} bytes, expected {expected}"
         )
+    try:
+        file_grid = Grid(dim=dim, n=n, length=length)
+    except ValueError as exc:
+        raise SnapshotError(f"{path}: bad header: {exc}") from exc
+    if grid is not None and grid != file_grid:
+        raise SnapshotError(f"{path}: grid mismatch ({file_grid} vs {grid})")
+    grid = file_grid
     planes = np.frombuffer(payload, dtype="<f8").reshape((ncomp,) + grid.shape)
     planes = planes.astype(np.float64)
 

@@ -14,6 +14,9 @@ from eulerlab.cli import (
     load_config,
     main,
 )
+from eulerlab.snapshots import _HEADER
+
+TAU = 2.0 * np.pi
 
 
 def run(args):
@@ -122,6 +125,33 @@ class TestExitCodes:
                     "--T", "0.0015", "--dt", "0.001", "--out", tmp_path / "s"])
         assert code == EXIT_CONFIG
         assert "not a multiple of dt" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["simulate", "--N", "16", "--T", "inf"],
+        ["simulate", "--N", "16", "--dt", "nan"],
+        ["illposedness", "--experiment", "composition", "--N", "16", "--R", "inf"],
+        ["illposedness", "--experiment", "solution-map", "--N", "16", "--s=-inf"],
+    ])
+    def test_non_finite_float_is_2(self, args, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(args + ["--out", out]) == EXIT_CONFIG
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_composition_single_row_is_2(self, tmp_path, capsys):
+        code = run(["illposedness", "--experiment", "composition", "--N", "16",
+                    "--kmax", "1", "--out", tmp_path / "c"])
+        assert code == EXIT_CONFIG
+        assert "config error: k_max must be >= 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", [(2, 12, TAU), (2, 16, float("nan"))])
+    def test_snapshot_dump_bad_header_is_2(self, header, tmp_path, capsys):
+        dim, n, length = header
+        p = tmp_path / "bad.egl"
+        p.write_bytes(_HEADER.pack(b"EGL1", dim, n, length, 0, 1)
+                      + bytes(8 * n**dim))
+        assert run(["snapshot-dump", p]) == EXIT_CONFIG
+        assert "bad header" in capsys.readouterr().err
 
 
 class TestSimulate:

@@ -50,6 +50,13 @@ def test_solve_rejects_unaligned_horizon(grid16, rng):
         solve(u0, 0.05, StepperConfig(dt=0.02))
 
 
+@pytest.mark.parametrize("T", [np.inf, np.nan])
+def test_solve_rejects_non_finite_horizon(grid16, rng, T):
+    u0 = random_div_free(grid16, rng)
+    with pytest.raises(ValueError, match="positive and finite"):
+        solve(u0, T, StepperConfig(dt=0.02))
+
+
 def test_energy_conservation_short_run(grid32, rng):
     u0 = random_div_free(grid32, rng, norm_value=0.5)
     traj = solve(u0, 0.2, StepperConfig(dt=0.01))

@@ -35,6 +35,11 @@ class TestSeparationSeries:
         ser = SeparationSeries(k, 3.0 / k**2, np.ones(8))
         assert ser.input_gap_slope() == pytest.approx(-2.0, abs=1e-12)
 
+    def test_slope_needs_two_rows(self):
+        ser = SeparationSeries(np.array([1]), np.ones(1), np.ones(1))
+        with pytest.raises(ValueError, match="two rows"):
+            ser.input_gap_slope()
+
     def test_rows_match_columns(self):
         k = np.arange(1, 4)
         ser = SeparationSeries(k, 1.0 / k, np.ones(3),
@@ -76,6 +81,15 @@ class TestCompositionExperiment:
     def test_metadata_recorded(self, series):
         assert series.metadata["experiment"] == "composition"
         assert series.metadata["R"] == 0.1
+
+    def test_rejects_single_row_before_any_row_runs(self, monkeypatch):
+        from eulerlab import illposedness
+
+        def no_rows(*args, **kwargs):
+            raise AssertionError("a row ran")
+        monkeypatch.setattr(illposedness, "invert", no_rows)
+        with pytest.raises(ValueError, match="k_max must be >= 2"):
+            composition_experiment(k_max=1, grid=Grid(dim=2, n=16, length=TAU))
 
     def test_rejects_overlapping_supports(self):
         with pytest.raises(ValueError):

@@ -5,8 +5,15 @@ import itertools
 import numpy as np
 import pytest
 
-from eulerlab import Grid, ScalarField, VectorField, random_div_free, random_scalar
-from eulerlab.interp import Interpolant, _nyquist_power, sample
+from eulerlab import (
+    Grid,
+    MatrixField,
+    ScalarField,
+    VectorField,
+    random_div_free,
+    random_scalar,
+)
+from eulerlab.interp import _FOURIER_BLOCK, Interpolant, _nyquist_power, sample
 
 from conftest import FullLattice
 
@@ -204,3 +211,30 @@ class TestSplineReference:
             pts = rng.uniform(-TAU, 2.0 * TAU, size=(grid.dim, 200))
             vals = Interpolant(f, order=order).at(pts)
             assert np.max(np.abs(vals - 2.5)) < 1e-13
+
+
+def reference_trig_sum(data, grid, points):
+    """Direct trigonometric sum over the full-lattice coefficients:
+    one complex exponential per (point, mode) pair."""
+    lattice = FullLattice(grid)
+    hat = lattice.fft(data).reshape(-1, grid.size)
+    xi = np.stack([np.broadcast_to(x, grid.shape).ravel() for x in lattice.xi_axes])
+    return np.real(hat @ np.exp(1j * (xi.T @ points))).reshape(
+        data.shape[: data.ndim - grid.dim] + points.shape[1:])
+
+
+class TestFourierReference:
+    @pytest.mark.parametrize("kind", [ScalarField, VectorField, MatrixField])
+    @pytest.mark.parametrize("dim,n", [(2, 16), (2, 32), (3, 8)])
+    def test_matches_direct_trig_sum(self, rng, kind, dim, n):
+        grid = Grid(dim=dim, n=n, length=TAU)
+        comps = {ScalarField: (), VectorField: (dim,), MatrixField: (dim, dim)}[kind]
+        # white noise keeps its unpaired Nyquist modes, whose sign convention
+        # only shows off the grid points
+        f = kind(grid, rng.standard_normal(comps + grid.shape))
+        # a full block and a partial one, many points outside [0, L)
+        pts = rng.uniform(-TAU, 2.0 * TAU, size=(dim, _FOURIER_BLOCK + 300))
+        vals = Interpolant(f, order="fourier").at(pts)
+        ref = reference_trig_sum(f.data, grid, pts)
+        assert vals.shape == ref.shape
+        assert np.max(np.abs(vals - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -1,12 +1,16 @@
 """Binary snapshot round trips and header validation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from eulerlab import (
     Diffeo,
     Grid,
+    MatrixField,
     SnapshotError,
+    jacobian,
     load_snapshot,
     random_div_free,
     random_scalar,
@@ -14,6 +18,7 @@ from eulerlab import (
     taylor_green,
     vorticity,
 )
+from eulerlab.snapshots import _HEADER
 
 TAU = 2.0 * np.pi
 
@@ -45,6 +50,23 @@ def test_skew_matrix_stored_compactly(tmp_path, grid16):
     # a 2x2 skew matrix has one independent component vs four stored naively
     naive = 4 * 16 * 16 * 8
     assert p_skew.stat().st_size < naive / 2
+
+
+def test_tiny_matrix_roundtrip_is_exact(tmp_path, grid16, rng):
+    # a non-skew matrix is stored in full however small its entries are
+    m = jacobian(random_div_free(grid16, rng, norm_value=1e-12))
+    p = tmp_path / "m.egl"
+    save_snapshot(p, m)
+    assert load_snapshot(p).data.tobytes() == m.data.tobytes()
+
+
+def test_near_skew_matrix_keeps_its_diagonal(tmp_path, grid16, rng):
+    om = vorticity(random_div_free(grid16, rng)).data.copy()
+    om[0, 0] += 4e-12
+    m = MatrixField(grid16, om)
+    p = tmp_path / "m.egl"
+    save_snapshot(p, m)
+    assert load_snapshot(p).data.tobytes() == m.data.tobytes()
 
 
 def test_diffeo_roundtrip(tmp_path, grid16, rng):
@@ -94,3 +116,26 @@ def test_values_bitwise_identical(tmp_path, grid16, rng):
     p = tmp_path / "f.egl"
     save_snapshot(p, f)
     assert load_snapshot(p).data.tobytes() == f.data.tobytes()
+
+
+@pytest.mark.parametrize("header", [(2, 12, TAU), (2, 16, float("nan")),
+                                    (4, 8, TAU)])
+def test_rejects_invalid_grid_header(tmp_path, header):
+    dim, n, length = header
+    p = tmp_path / "f.egl"
+    p.write_bytes(_HEADER.pack(b"EGL1", dim, n, length, 0, 1) + bytes(8 * n**dim))
+    with pytest.raises(SnapshotError, match="bad header"):
+        load_snapshot(p)
+
+
+def test_huge_header_rejected_before_allocating(tmp_path):
+    p = tmp_path / "f.egl"
+    p.write_bytes(_HEADER.pack(b"EGL1", 2, 4096, TAU, 0, 1).ljust(40, b"\0"))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SnapshotError, match="payload"):
+            load_snapshot(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
