@@ -38,7 +38,7 @@ from .illposedness import (
     solution_map_experiment,
 )
 from .lagrangian import GeodesicConfig, det_jacobian, geodesic_solve
-from .snapshots import SnapshotError, load_snapshot, save_snapshot
+from .snapshots import load_snapshot, save_snapshot
 from .spectral import (
     Grid,
     chi_cutoff,
@@ -153,6 +153,9 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 
 
 def write_csv(path: Path, header: list[str], rows, cfg_hash: str) -> None:
+    """Write a CSV under its config-hash comment.  Every command writes a CSV
+    first, so the output directory is made here and a rejected run has none."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(f"# config-hash: {cfg_hash}\n")
         fh.write(",".join(header) + "\n")
@@ -252,7 +255,6 @@ def _initial_field(cfg: RunConfig, grid: Grid):
 def cmd_simulate(cfg: RunConfig) -> int:
     grid = cfg.grid()
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     u0 = _initial_field(cfg, grid)
 
     if cfg.dynamics == "eulerian":
@@ -344,7 +346,6 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def cmd_illposedness(cfg: RunConfig) -> int:
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
     if cfg.experiment in ("composition", "both"):
         ser = composition_experiment(R=cfg.R, k_max=cfg.k_max, s=cfg.s,
                                      grid=cfg.grid())
@@ -428,16 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "snapshot-dump":
-        try:
-            return cmd_snapshot_dump(args.path)
-        except (SnapshotError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-
-    overrides = {k: v for k, v in vars(args).items()
-                 if k not in ("command", "config") and v is not None}
     try:
+        if args.command == "snapshot-dump":
+            return cmd_snapshot_dump(args.path)
+        overrides = {k: v for k, v in vars(args).items()
+                     if k not in ("command", "config") and v is not None}
         cfg = load_config(args.config, overrides)
         if args.command != "simulate" and cfg.method != "rk4":
             raise ConfigError(f"{args.command} integrates with RK4 only")
@@ -450,7 +446,7 @@ def main(argv: list[str] | None = None) -> int:
             np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:  # ConfigError and rejected run parameters
+    except (ValueError, OSError) as exc:  # bad config, parameter, file or --out
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -35,6 +35,8 @@ __all__ = [
     "dexp_richardson",
 ]
 
+_COMPOSITION_ORDER = 5  # spline order of every invert and compose in a row
+
 
 @dataclass(frozen=True)
 class SeparationSeries:
@@ -77,7 +79,7 @@ def _axis_plateau(grid: Grid, axis: int, center: float, r_flat: float,
 
 def composition_experiment(R: float = 0.1, k_max: int = 13, s: float = 2.5,
                            grid: Grid | None = None, M: float = 0.8,
-                           delta1: float = 0.32, order=5) -> SeparationSeries:
+                           delta1: float = 0.32) -> SeparationSeries:
     """Separation series for the composition map nu(f, phi) = f o phi^{-1}.
 
     Base point: (f_base, id) with f_base a bump.  The k-th input pair
@@ -145,9 +147,9 @@ def composition_experiment(R: float = 0.1, k_max: int = 13, s: float = 2.5,
                 # the Nyquist-content warning by design; the
                 # resolved/trusted flags carry that information
                 warnings.simplefilter("ignore", UserWarning)
-                psi_k = invert(Diffeo(dphi * (1.0 / k)), order=order)
-                nu_pert = compose(nu_base, psi_k, order=order)
-                half_a = nu_pert - compose(f_base, psi_k, order=order)
+                psi_k = invert(Diffeo(dphi * (1.0 / k)), order=_COMPOSITION_ORDER)
+                nu_pert = compose(nu_base, psi_k, order=_COMPOSITION_ORDER)
+                half_a = nu_pert - compose(f_base, psi_k, order=_COMPOSITION_ORDER)
             in_gap[i] = dphi_norm / k
             out_gap[i] = sobolev_norm(nu_pert - nu_base, s)
             out_sum[i] = sobolev_norm(half_a, s) + sobolev_norm(df, s)
@@ -161,7 +163,7 @@ def composition_experiment(R: float = 0.1, k_max: int = 13, s: float = 2.5,
         extras={"output_gap_sum": out_sum, "resolved": resolved,
                 "trusted": trusted},
         metadata={"R": R, "s": s, "n": grid.n, "length": grid.length,
-                  "M": M, "delta1": delta1, "order": order,
+                  "M": M, "delta1": delta1, "order": _COMPOSITION_ORDER,
                   "experiment": "composition"},
     )
 
@@ -207,6 +209,8 @@ def solution_map_experiment(R: float = 0.1, k_max: int = 8, s: float = 2.5,
 
     ks, in_gap, out_gap, vort_gap, q_list = [], [], [], [], []
     truncated = False
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
     _step_count(T, dt)  # in the rows a ValueError is numerical, not a parameter
     try:
         for k in range(1, k_max + 1):

@@ -51,6 +51,8 @@ __all__ = [
     "vorticity_pullback",
 ]
 
+_INVERT_MAX_ITER = 100
+
 
 @dataclass(frozen=True)
 class Diffeo:
@@ -117,17 +119,17 @@ def compose_diffeo(outer: Diffeo, inner: Diffeo, order=DEFAULT_ORDER) -> Diffeo:
 
 
 def invert(phi: Diffeo, order=DEFAULT_ORDER, tol: float = 1e-10,
-           max_iter: int = 100, guess: VectorField | None = None) -> Diffeo:
+           guess: VectorField | None = None) -> Diffeo:
     """Inverse diffeomorphism: psi with phi(psi(x)) = x on the torus.
 
     The displacement h of psi solves the fixed-point equation
-    h(x) = -g(x + h(x)); iterated with damping, with a Newton step using
-    the interpolated Jacobian of g when the contraction stalls.  At a node
-    phi fixes (g = 0) the exact solution is h = 0: it is set there, and
-    the iteration, its residual and the guess cover the moved nodes only
-    (phi = id returns at once).  Raises BlowUpError at once on a
-    non-finite iterate, and RuntimeError when the iteration budget runs
-    out or a Newton step raises the residual.
+    h(x) = -g(x + h(x)); iterated undamped, h <- -g(x + h), with a Newton
+    step using the interpolated Jacobian of g once the contraction
+    stalls.  At a node phi fixes (g = 0) the exact solution is h = 0: it
+    is set there, and the iteration, its residual and the guess cover the
+    moved nodes only (phi = id returns at once).  Raises BlowUpError at
+    once on a non-finite iterate, and RuntimeError when _INVERT_MAX_ITER
+    iterations run out or a Newton step raises the residual.
     """
     grid = phi.grid
     sel = _moved_nodes(phi.displacement.data)
@@ -141,7 +143,7 @@ def invert(phi: Diffeo, order=DEFAULT_ORDER, tol: float = 1e-10,
     newton = False
     prev_res = res = np.inf
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _INVERT_MAX_ITER + 1):
         gh = g_interp.at(x + h)
         res = float(np.max(np.abs(h + gh)))
         if res <= tol:
@@ -199,7 +201,6 @@ class GeodesicConfig:
     dt: float = 1e-2
     order: object = DEFAULT_ORDER  # 3, 5 or "fourier"
     cutoff: float = 1.0
-    inversion_tol: float = 1e-10
 
     def __post_init__(self) -> None:
         if not self.dt > 0:
@@ -216,16 +217,16 @@ class GeodesicTrajectory:
         return self.states[-1]
 
 
-def _christoffel(phi, v, bb, order, inv_guess, tol):
+def _christoffel(phi, v, bb, order, inv_guess):
     """(Gamma_phi(v, v), psi = phi^{-1}); Gamma_phi(v, v) = R_phi grad B(v o psi)."""
     _check_same_grid(v, phi.displacement)
-    psi = invert(phi, order=order, tol=tol, guess=inv_guess)
+    psi = invert(phi, order=order, guess=inv_guess)
     u = compose(v, psi, order=order)
     return compose(bb.grad_b(u), phi, order=order), psi
 
 
-def _geodesic_step(state: GeodesicState, dt: float, bb: BAssembly,
-                   cfg: GeodesicConfig, inv_guess: VectorField | None):
+def _geodesic_step(state: GeodesicState, bb: BAssembly, cfg: GeodesicConfig,
+                   inv_guess: VectorField | None):
     """RK4 on the stacked (g, v); each stage's inverse map seeds the next
     stage's inversion.  A folded map or non-finite samples raise BlowUpError."""
     grid, d = state.v.grid, state.v.grid.dim
@@ -234,14 +235,14 @@ def _geodesic_step(state: GeodesicState, dt: float, bb: BAssembly,
     def f(c, y):
         nonlocal guess
         gamma, psi = _christoffel(Diffeo(VectorField(grid, y[:d])),
-                                  VectorField(grid, y[d:]), bb, cfg.order,
-                                  guess, cfg.inversion_tol)
+                                  VectorField(grid, y[d:]), bb, cfg.order, guess)
         guess = psi.displacement
         return np.concatenate([y[d:], gamma.data])
 
-    t = state.t + dt
+    t = state.t + cfg.dt
     try:
-        y = _rk(f, np.concatenate([state.phi.displacement.data, state.v.data]), dt)
+        y = _rk(f, np.concatenate([state.phi.displacement.data, state.v.data]),
+                cfg.dt)
         phi, v = Diffeo(VectorField(grid, y[:d])), VectorField(grid, y[d:])
         phi.check_orientation()
     except ValueError as exc:  # folded map or non-finite samples
@@ -250,15 +251,15 @@ def _geodesic_step(state: GeodesicState, dt: float, bb: BAssembly,
     return GeodesicState(t, phi, v), guess
 
 
-def geodesic_step(state: GeodesicState, dt: float, bb: BAssembly | None = None,
-                  cfg: GeodesicConfig | None = None) -> GeodesicState:
-    """One RK4 step of d_t(phi, v) = (v, Gamma_phi(v, v)); raises
-    BlowUpError when the map folds or a sample turns non-finite."""
+def geodesic_step(state: GeodesicState, cfg: GeodesicConfig | None = None,
+                  bb: BAssembly | None = None) -> GeodesicState:
+    """One RK4 step of d_t(phi, v) = (v, Gamma_phi(v, v)) of size cfg.dt;
+    raises BlowUpError when the map folds or a sample turns non-finite."""
     if cfg is None:
-        cfg = GeodesicConfig(dt=dt)
+        cfg = GeodesicConfig()
     if bb is None:
         bb = BAssembly(state.v.grid, cutoff=cfg.cutoff)
-    new_state, _ = _geodesic_step(state, dt, bb, cfg, None)
+    new_state, _ = _geodesic_step(state, bb, cfg, None)
     return new_state
 
 
@@ -275,7 +276,7 @@ def geodesic_solve(u0: VectorField, T: float,
     speeds = [sobolev_norm(u0, 0.0)]
     guess: VectorField | None = None
     for i in range(n_steps):
-        state, guess = _geodesic_step(state, cfg.dt, bb, cfg, guess)
+        state, guess = _geodesic_step(state, bb, cfg, guess)
         state = GeodesicState((i + 1) * cfg.dt, state.phi, state.v)
         states.append(state)
         speeds.append(sobolev_norm(state.v, 0.0))

@@ -95,6 +95,8 @@ def load_snapshot(path, grid: Grid | None = None):
     grid = file_grid
     planes = np.frombuffer(payload, dtype="<f8").reshape((ncomp,) + grid.shape)
     planes = planes.astype(np.float64)
+    if not np.all(np.isfinite(planes)):
+        raise SnapshotError(f"{path}: non-finite samples")
 
     if kind == KIND_SCALAR:
         if ncomp != 1:

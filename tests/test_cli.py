@@ -153,6 +153,40 @@ class TestExitCodes:
         assert run(["snapshot-dump", p]) == EXIT_CONFIG
         assert "bad header" in capsys.readouterr().err
 
+    def test_snapshot_dump_non_finite_is_2(self, tmp_path, capsys):
+        p = tmp_path / "nan.egl"
+        n = 16
+        data = np.zeros((2, n, n))
+        data[1, 3, 4] = np.nan
+        p.write_bytes(_HEADER.pack(b"EGL1", 2, n, TAU, 1, 2)
+                      + data.astype("<f8").tobytes())
+        assert run(["snapshot-dump", p]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{p}: non-finite samples" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("args", [
+        ["illposedness", "--experiment", "composition", "--N", "16", "--kmax", "1"],
+        ["illposedness", "--experiment", "composition", "--N", "16", "--L", "3"],
+        ["simulate", "--N", "16", "--n", "3", "--initial", "taylor-green"],
+    ])
+    def test_rejected_run_leaves_no_out_dir(self, args, tmp_path, capsys):
+        # the output directory is made only when the first file is written
+        out = tmp_path / "o"
+        assert run(args + ["--out", out]) == EXIT_CONFIG
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_out_is_2(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        code = run(["simulate", "--N", "16", "--T", "0.01", "--dt", "0.01",
+                    "--out", afile / "sub"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        assert afile.is_file()
+
 
 class TestSimulate:
     def test_writes_outputs(self, tmp_path):

@@ -86,11 +86,18 @@ def test_rk2_less_accurate_than_rk4(grid32, rng):
     assert e4 < e2
 
 
-def test_blowup_guard_triggers(grid16, rng):
+def test_blowup_guard_triggers(grid16, rng, monkeypatch):
+    monkeypatch.setattr(eulerian, "_NORM_GROWTH_LIMIT", 1.0 + 1e-12)
     u0 = random_div_free(grid16, rng, s=0.0, norm_value=1.0)
-    cfg = StepperConfig(dt=0.05, norm_growth_limit=1.0 + 1e-12)
     with pytest.raises(BlowUpError):
-        solve(u0, 1.0, cfg)
+        solve(u0, 1.0, StepperConfig(dt=0.05))
+
+
+def test_drift_budget_flags_divergent_data(grid16, rng):
+    # white noise is far from divergence-free: its drift is O(1) relative
+    noise = VectorField(grid16, 1e-3 * rng.standard_normal((2,) + grid16.shape))
+    traj = solve(noise, 0.02, StepperConfig(dt=0.01))
+    assert traj.drift_budget_exceeded
 
 
 def test_trajectory_sampling(grid16, rng):

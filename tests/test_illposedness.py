@@ -104,6 +104,11 @@ class TestSolutionMapExperiment:
         assert ser.input_gap_slope() == pytest.approx(-1.0, abs=0.05)
         assert "vorticity_gap" in ser.extras
 
+    def test_rejects_no_rows(self):
+        g = Grid(dim=2, n=32, length=TAU)
+        with pytest.raises(ValueError, match="k_max must be >= 1, got 0"):
+            solution_map_experiment(k_max=0, grid=g)
+
 
 class TestScalingIdentity:
     def test_residual_vanishes_with_paired_steps(self, grid32, rng):

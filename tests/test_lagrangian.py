@@ -1,5 +1,7 @@
 """Diffeomorphisms, composition, inversion, geodesic flow, pullbacks."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -109,14 +111,14 @@ class TestInversion:
 
     def test_folded_map_fails_fast(self, grid16, monkeypatch):
         # x1 + 1.5 sin x1 folds near x1 = pi: Newton fires and the
-        # residual rises, which ends the iteration well before max_iter
+        # residual rises, which ends the iteration well before the cap
         calls = _record_points(monkeypatch)
         x = grid16.coords()[0]
         phi = Diffeo(VectorField(grid16, np.stack([1.5 * np.sin(x),
                                                    np.zeros(grid16.shape)])))
         with pytest.raises(RuntimeError, match="did not reach"):
-            invert(phi, max_iter=100)
-        assert len(calls) < 100
+            invert(phi)
+        assert len(calls) < lagrangian._INVERT_MAX_ITER
 
 
 def _compose_all_nodes(f, phi, order):
@@ -312,7 +314,8 @@ class TestGeodesicFailures:
                             lambda phi: ScalarField(phi.grid, -np.ones(phi.grid.shape)))
         u0 = random_div_free(grid16, rng, norm_value=0.2)
         with pytest.raises(BlowUpError, match="orientation") as err:
-            geodesic_step(GeodesicState(0.0, identity(grid16), u0), 0.05)
+            geodesic_step(GeodesicState(0.0, identity(grid16), u0),
+                          GeodesicConfig(dt=0.05))
         assert isinstance(err.value.__cause__, ValueError)
 
     def test_non_finite_newton_iterate(self, grid16, rng, monkeypatch):
@@ -322,16 +325,17 @@ class TestGeodesicFailures:
         solve_ = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve",
                             lambda a, b: np.full_like(solve_(a, b), np.nan))
+        monkeypatch.setattr(lagrangian, "invert", functools.partial(invert, tol=-1.0))
         u0 = random_div_free(grid16, rng, norm_value=0.2)
         with pytest.raises(BlowUpError, match="non-finite iterate"):
-            geodesic_solve(u0, 0.1, GeodesicConfig(dt=0.05, inversion_tol=-1.0))
+            geodesic_solve(u0, 0.1, GeodesicConfig(dt=0.05))
 
 
 def _geodesic_step_hand_written(state, dt, bb, cfg, inv_guess):
     """Reference geodesic step: RK4 written out on the fields g and v
     separately, each stage's inverse seeding the next inversion."""
     g, v = state.phi.displacement, state.v
-    kw = dict(bb=bb, order=cfg.order, tol=cfg.inversion_tol)
+    kw = dict(bb=bb, order=cfg.order)
     k1v, psi = lagrangian._christoffel(Diffeo(g), v, inv_guess=inv_guess, **kw)
     k1g = v
     k2v, psi = lagrangian._christoffel(Diffeo(g + 0.5 * dt * k1g), v + 0.5 * dt * k1v,
@@ -405,10 +409,21 @@ class TestSharedRungeKutta:
         calls = []
         step_ = lagrangian._geodesic_step
         monkeypatch.setattr(lagrangian, "_geodesic_step",
-                            lambda *a: calls.append(a[1]) or step_(*a))
+                            lambda *a: calls.append(a[0].t) or step_(*a))
         u0 = random_div_free(grid16, rng, norm_value=0.2)
         geodesic_solve(u0, 0.1, GeodesicConfig(dt=0.025))
-        assert calls == [0.025] * 4
+        assert calls == pytest.approx([0.0, 0.025, 0.05, 0.075], abs=1e-15)
+
+    def test_public_step_takes_its_size_from_cfg(self, grid16, rng):
+        # geodesic_step has no dt of its own: one step of cfg.dt is the
+        # first step of geodesic_solve, bit for bit
+        u0 = random_div_free(grid16, rng, norm_value=0.2)
+        cfg = GeodesicConfig(dt=0.03)
+        got = geodesic_step(GeodesicState(0.0, identity(grid16), u0), cfg)
+        ref = geodesic_solve(u0, cfg.dt, cfg).final
+        assert got.t == ref.t
+        assert np.array_equal(got.phi.displacement.data, ref.phi.displacement.data)
+        assert np.array_equal(got.v.data, ref.v.data)
 
 
 class TestFlowAndPullback:

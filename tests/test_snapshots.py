@@ -95,6 +95,16 @@ def test_rejects_corrupt_magic(tmp_path, grid16, rng):
         load_snapshot(p)
 
 
+def test_rejects_non_finite_samples(tmp_path, grid16, rng):
+    p = tmp_path / "u.egl"
+    save_snapshot(p, random_div_free(grid16, rng))
+    raw = bytearray(p.read_bytes())
+    raw[_HEADER.size + 8 * 5:_HEADER.size + 8 * 6] = np.array([np.nan], "<f8").tobytes()
+    p.write_bytes(bytes(raw))
+    with pytest.raises(SnapshotError, match=f"{p}: non-finite samples"):
+        load_snapshot(p)
+
+
 def test_rejects_truncated_payload(tmp_path, grid16, rng):
     p = tmp_path / "f.egl"
     save_snapshot(p, random_scalar(grid16, rng))
