@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .bform import BAssembly
-from .eulerian import BlowUpError, StepperConfig, solve
+from .eulerian import BlowUpError, StepperConfig, _step_count, solve
 from .fields import (
     biot_savart,
     divergence,
@@ -153,8 +153,9 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 
 
 def write_csv(path: Path, header: list[str], rows, cfg_hash: str) -> None:
-    """Write a CSV under its config-hash comment.  Every command writes a CSV
-    first, so the output directory is made here and a rejected run has none."""
+    """Write a CSV under its config-hash comment.  The output directory is
+    made here, at the first write, or by ``simulate`` once its parameters
+    are checked, so a rejected run has none."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(f"# config-hash: {cfg_hash}\n")
@@ -256,6 +257,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
     grid = cfg.grid()
     out = Path(cfg.out)
     u0 = _initial_field(cfg, grid)
+    _step_count(cfg.T, cfg.dt)
+    # parameters are checked: an unwritable --out fails now, not after T
+    out.mkdir(parents=True, exist_ok=True)
 
     if cfg.dynamics == "eulerian":
         traj = solve(u0, cfg.T, StepperConfig(dt=cfg.dt, method=cfg.method,

@@ -170,11 +170,14 @@ def _check_support(grid: Grid, center, r: float) -> np.ndarray:
 
 
 def _torus_dist_sq(grid: Grid, center: np.ndarray) -> np.ndarray:
+    """Squared periodic distance to ``center`` on the grid; each axis's
+    distance is taken on the 1-D axis and broadcast into the sum."""
+    x = np.arange(grid.n) * grid.spacing
     d2 = np.zeros(grid.shape)
-    for j, x in enumerate(grid.coords()):
+    for j in range(grid.dim):
         d = np.abs(x - center[j])
         d = np.minimum(d, grid.length - d)
-        d2 += d * d
+        d2 += (d * d).reshape((-1,) + (1,) * (grid.dim - 1 - j))
     return d2
 
 
@@ -183,8 +186,8 @@ def bump(grid: Grid, center, r: float, amplitude: float = 1.0) -> ScalarField:
     center = _check_support(grid, center, r)
     d2 = _torus_dist_sq(grid, center)
     inside = d2 < r * r
-    denom = np.where(inside, r * r - d2, 1.0)
-    vals = np.where(inside, amplitude * np.exp(-r * r / denom), 0.0)
+    vals = np.zeros(grid.shape)
+    vals[inside] = amplitude * np.exp(-r * r / (r * r - d2[inside]))
     return ScalarField(grid, vals)
 
 

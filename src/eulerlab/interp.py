@@ -13,7 +13,11 @@ Two families:
   Exact for band-limited fields; used for convergence studies.
 
 Query points are physical coordinates on the torus; any real values are
-accepted and wrapped.
+accepted and wrapped into [0, L) by ``fmod`` plus L where negative, the
+value ``%`` gives without the quotient it also computes.  An interpolant
+keeps the field it was built from (``.field``), so ``lagrangian.compose``
+can take one in place of the field and a caller composing one field with
+many maps pays the prefilter once.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ class Interpolant:
             raise ValueError(f"order must be 3, 5 or 'fourier', got {order!r}")
         self.grid = grid
         self.order = order
+        self.field = field
         self._comp_shape = field.data.shape[: field.data.ndim - grid.dim]
         if order == "fourier":
             # Full lattice: off the grid points the half lattice's +N/2 sign
@@ -81,7 +86,10 @@ class Interpolant:
         else:
             from scipy import ndimage
 
-            t = (flat % self.grid.length) / self.grid.spacing
+            # flat % L without the quotient np.remainder also computes
+            t = np.fmod(flat, self.grid.length)
+            np.add(t, self.grid.length, out=t, where=t < 0)
+            t /= self.grid.spacing
             vals = np.empty((len(self._coeffs), flat.shape[1]))
             for c, coeffs in enumerate(self._coeffs):
                 if coeffs is None:

@@ -100,15 +100,25 @@ def compose(f, phi: Diffeo, order=DEFAULT_ORDER):
     """Right translation R_phi f = f o phi by periodic interpolation.
 
     Only the nodes phi moves are interpolated; at a node phi fixes (zero
-    displacement) the sample of f is copied, which is exact.
+    displacement) the sample of f is copied, which is exact.  ``f`` may
+    also be an :class:`Interpolant` of the field, of the given order, so
+    a field composed with many maps is prefiltered once.
     """
+    interp = None
+    if isinstance(f, Interpolant):
+        if f.order != order:
+            raise ValueError(f"interpolant has order {f.order!r}, "
+                             f"compose was asked for {order!r}")
+        interp, f = f, f.field
     grid = _check_same_grid(f, phi.displacement)
     g = phi.displacement.data
     sel = _moved_nodes(g)
     vals = f.data.copy()
     if sel is not None:
-        points = np.stack(grid.coords())[:, sel] + g[:, sel]
-        vals[..., sel] = Interpolant(f, order=order).at(points)
+        points = np.stack([c[sel] for c in grid.coords()]) + g[:, sel]
+        if interp is None:
+            interp = Interpolant(f, order=order)
+        vals[..., sel] = interp.at(points)
     return type(f)(grid, vals)
 
 
@@ -136,7 +146,7 @@ def invert(phi: Diffeo, order=DEFAULT_ORDER, tol: float = 1e-10,
     if sel is None:
         return identity(grid)
     g_interp = Interpolant(phi.displacement, order=order)
-    x = np.stack(grid.coords())[:, sel]
+    x = np.stack([c[sel] for c in grid.coords()])
     h = np.zeros_like(x) if guess is None else guess.data[:, sel].copy()
 
     dg_interp = None
@@ -315,9 +325,12 @@ def flow_of(traj: Trajectory, order=DEFAULT_ORDER) -> list[tuple[float, Diffeo]]
     out = [(0.0, identity(grid))]
     g = np.zeros((grid.dim,) + grid.shape)
     x = np.stack(grid.coords())
+    u = [Interpolant(traj.states[0].u, order=order)]
     for i in range(0, n, 2):
-        # stage fraction c = 0, 1/2, 1 reads state i, i + 1, i + 2
-        u = [Interpolant(st.u, order=order) for st in traj.states[i:i + 3]]
+        # stage fraction c = 0, 1/2, 1 reads state i, i + 1, i + 2; the
+        # interpolant of state i is the previous step's last one
+        u = [u[-1]] + [Interpolant(st.u, order=order)
+                       for st in traj.states[i + 1:i + 3]]
         g = _rk(lambda c, y: u[int(2 * c)].at(x + y), g, h)
         out.append((traj.states[i + 2].t, Diffeo(VectorField(grid, g))))
     return out

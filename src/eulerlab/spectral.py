@@ -125,9 +125,14 @@ class Grid:
         return self.length / self.n
 
     def coords(self) -> tuple[np.ndarray, ...]:
-        """Full coordinate arrays, one per axis, each of shape ``self.shape``."""
+        """Coordinate arrays, one per axis, each of shape ``self.shape``:
+        read-only broadcast views of the 1-D axis ``arange(n) * spacing``,
+        equal to ``np.meshgrid(..., indexing="ij")`` without its copies."""
         x = np.arange(self.n) * self.spacing
-        return tuple(np.meshgrid(*([x] * self.dim), indexing="ij"))
+        return tuple(
+            np.broadcast_to(x.reshape((-1,) + (1,) * (self.dim - 1 - j)), self.shape)
+            for j in range(self.dim)
+        )
 
     # -- transforms ----------------------------------------------------
 

@@ -4,7 +4,7 @@ determinism of outputs."""
 import numpy as np
 import pytest
 
-from eulerlab import VectorField
+from eulerlab import VectorField, cli
 from eulerlab.cli import (
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -169,6 +169,7 @@ class TestExitCodes:
         ["illposedness", "--experiment", "composition", "--N", "16", "--kmax", "1"],
         ["illposedness", "--experiment", "composition", "--N", "16", "--L", "3"],
         ["simulate", "--N", "16", "--n", "3", "--initial", "taylor-green"],
+        ["simulate", "--N", "16", "--dt", "0.03", "--T", "0.1"],
     ])
     def test_rejected_run_leaves_no_out_dir(self, args, tmp_path, capsys):
         # the output directory is made only when the first file is written
@@ -186,6 +187,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
         assert afile.is_file()
+
+
+    @pytest.mark.parametrize("dynamics", ["eulerian", "geodesic"])
+    def test_unwritable_out_fails_before_integrating(self, dynamics, tmp_path,
+                                                     monkeypatch, capsys):
+        def no_run(*args, **kwargs):
+            raise AssertionError("integrated before --out was made")
+        monkeypatch.setattr(cli, "solve", no_run)
+        monkeypatch.setattr(cli, "geodesic_solve", no_run)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        code = run(["simulate", "--dynamics", dynamics, "--N", "16",
+                    "--T", "1", "--dt", "0.01", "--out", afile / "sub"])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
 
 
 class TestSimulate:

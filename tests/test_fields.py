@@ -132,6 +132,22 @@ class TestBumps:
         assert np.max(np.abs(f.data[outside])) == 0.0
         assert f.data.max() == pytest.approx(np.exp(-1.0))  # peak a*e^{-1}
 
+    @pytest.mark.parametrize("dim,n", [(2, 64), (3, 16)])
+    def test_bump_matches_meshgrid_formula(self, dim, n):
+        # a centre near the box edge: the support wraps around
+        grid = Grid(dim=dim, n=n, length=TAU)
+        center, r, amp = np.array([0.02, TAU - 0.03, 3.1][:dim]), 1.7, 0.8
+        x = np.arange(n) * grid.spacing
+        d2 = np.zeros(grid.shape)
+        for xj, cj in zip(np.meshgrid(*([x] * dim), indexing="ij"), center):
+            d = np.abs(xj - cj)
+            d = np.minimum(d, grid.length - d)
+            d2 += d * d
+        inside = d2 < r * r
+        ref = np.where(inside, amp * np.exp(-r * r / np.where(inside, r * r - d2, 1.0)),
+                       0.0)
+        assert np.array_equal(bump(grid, center, r, amplitude=amp).data, ref)
+
     def test_bump_rejects_oversize_radius(self, grid16):
         with pytest.raises(ValueError):
             bump(grid16, (0.0, 0.0), r=0.6 * grid16.length)

@@ -17,6 +17,7 @@ from eulerlab import (
     sobolev_norm,
     solution_map_experiment,
 )
+from eulerlab.interp import Interpolant
 
 TAU = 2.0 * np.pi
 
@@ -77,6 +78,17 @@ class TestCompositionExperiment:
             warnings.simplefilter("error")
             composition_experiment(R=0.1, k_max=2,
                                    grid=Grid(dim=2, n=16, length=TAU))
+
+    def test_prefilters_the_base_field_once(self, monkeypatch):
+        # per row: the strip displacement and nu_base; f_base once
+        built = []
+        init = Interpolant.__init__
+        monkeypatch.setattr(Interpolant, "__init__", lambda self, *a, **kw:
+                            built.append(1) or init(self, *a, **kw))
+        k_max = 3
+        composition_experiment(R=0.1, k_max=k_max,
+                               grid=Grid(dim=2, n=64, length=TAU))
+        assert len(built) == 2 * k_max + 1
 
     def test_metadata_recorded(self, series):
         assert series.metadata["experiment"] == "composition"

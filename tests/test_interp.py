@@ -88,6 +88,28 @@ class TestSplineAccuracy:
         assert np.max(np.abs(v3 - vf)) < 5e-4
 
 
+class TestWrap:
+    """Spline evaluation wraps points into [0, L) as ``%`` does."""
+
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_matches_remainder_reference(self, grid32, rng, order):
+        from scipy import ndimage
+
+        L, h = grid32.length, grid32.spacing
+        edge = np.array([-L, -0.0, -1e-300, L, np.nextafter(L, 0.0),
+                         np.nextafter(-L, 0.0), 1e6, -1e6, 0.3])
+        pts = np.stack([a.ravel() for a in np.meshgrid(edge, edge, indexing="ij")])
+        f = random_div_free(grid32, rng)
+        ref = np.stack([
+            ndimage.map_coordinates(
+                ndimage.spline_filter(c, order=order, mode="grid-wrap"),
+                (pts % L) / h, order=order, mode="grid-wrap", prefilter=False)
+            for c in f.data])
+        interp = Interpolant(f, order=order)
+        assert interp.field is f
+        assert np.array_equal(interp.at(pts), ref)
+
+
 class TestNyquistWarning:
     def test_warns_on_unpaired_nyquist(self, grid16):
         hat = np.zeros(grid16.shape, dtype=complex)

@@ -12,6 +12,7 @@ from eulerlab import (
     GeodesicConfig,
     GeodesicState,
     Grid,
+    GridMismatchError,
     StepperConfig,
     VectorField,
     bump,
@@ -219,6 +220,29 @@ class TestMovedNodes:
         assert np.array_equal(compose(f, identity(grid32)).data, f.data)
         assert sizes == []
 
+    @pytest.mark.parametrize("kind", ["strip", "bump", "all", "identity"])
+    def test_compose_takes_an_interpolant(self, kind, grid32, rng):
+        if kind == "all":
+            phi = Diffeo(0.05 * random_div_free(grid32, rng))
+            assert np.all(phi.displacement.data != 0.0)
+        elif kind == "identity":
+            phi = identity(grid32)
+        else:
+            phi = _MAPS[kind](grid32)
+        for f in (random_scalar(grid32, rng), random_div_free(grid32, rng)):
+            ref = compose(f, phi, order=5)
+            got = compose(Interpolant(f, order=5), phi, order=5)
+            assert type(got) is type(f)
+            assert np.array_equal(got.data, ref.data)
+
+    def test_compose_rejects_mismatched_interpolant(self, grid16, grid32, rng):
+        phi = _strip_shear(grid32)
+        f = random_scalar(grid32, rng)
+        with pytest.raises(ValueError, match="order"):
+            compose(Interpolant(f, order=3), phi, order=5)
+        with pytest.raises(GridMismatchError):
+            compose(Interpolant(random_scalar(grid16, rng), order=5), phi, order=5)
+
     def test_guess_ignored_on_fixed_nodes(self, grid32):
         phi = _strip_shear(grid32)
         fixed = ~np.any(phi.displacement.data != 0.0, axis=0)
@@ -401,6 +425,16 @@ class TestSharedRungeKutta:
         for (_, phi), g in zip(got, ref):
             gap = np.max(np.abs(phi.displacement.data - g))
             assert gap <= 1e-13 * np.max(np.abs(g))
+
+    def test_flow_of_prefilters_each_state_once(self, grid32, rng, monkeypatch):
+        traj = solve(random_div_free(grid32, rng, norm_value=0.4), 0.08,
+                     StepperConfig(dt=0.01))
+        built = []
+        init = Interpolant.__init__
+        monkeypatch.setattr(Interpolant, "__init__", lambda self, f, *a, **kw:
+                            built.append(f) or init(self, f, *a, **kw))
+        flow_of(traj)
+        assert [id(f) for f in built] == [id(st.u) for st in traj.states]
 
     def test_geodesic_solve_steps_through_module_step(self, grid16, rng,
                                                       monkeypatch):

@@ -73,6 +73,18 @@ class TestGrid:
         assert np.array_equal(values, g.irfft(hat))
         assert not np.array_equal(scratch, hat)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_coords_are_read_only_meshgrid_views(self, dim):
+        grid = Grid(dim=dim, n=16, length=3.0)
+        x = np.arange(grid.n) * grid.spacing
+        ref = np.meshgrid(*([x] * dim), indexing="ij")
+        got = grid.coords()
+        assert len(got) == dim
+        for c, r in zip(got, ref):
+            assert c.shape == grid.shape
+            assert np.array_equal(c, r)
+            assert not c.flags.writeable
+
     def test_frequency_axis_spacing(self):
         g = Grid(dim=2, n=16, length=4.0 * np.pi)
         assert np.isclose(np.sort(g.xi_axes[0].ravel())[g.n // 2 + 1], 0.5)
