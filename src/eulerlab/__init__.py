@@ -39,7 +39,7 @@ from .fields import (
     vorticity,
 )
 from .bform import BAssembly
-from .interp import Interpolant, sample
+from .interp import ORDERS, Interpolant, sample
 from .eulerian import (
     BlowUpError,
     EulerState,

@@ -149,13 +149,13 @@ def _monitors(grid: Grid, s: float):
     return measure
 
 
-def _step_count(T: float, dt: float) -> int:
+def _step_count(T: float, dt: float, name: str = "T") -> int:
     """round(T / dt); raises ValueError unless T is a positive multiple of dt."""
     if not (T > 0 and np.isfinite(T)):
         raise ValueError(f"final time must be positive and finite, got {T}")
     n_steps = int(round(T / dt))
     if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
-        raise ValueError(f"T = {T} is not a multiple of dt = {dt}")
+        raise ValueError(f"{name} = {T} is not a multiple of dt = {dt}")
     return n_steps
 
 

@@ -108,6 +108,8 @@ def composition_experiment(R: float = 0.1, k_max: int = 13, s: float = 2.5,
     """
     if grid is None:
         grid = Grid(dim=2, n=1024, length=2.0 * np.pi)
+    if grid.dim != 2:
+        raise ValueError(f"the composition experiment is 2D only, got dim = {grid.dim}")
     if not (0 < 2.0 * delta1 < M < 1.0):
         raise ValueError("need 0 < 2*delta1 < M < 1 for support separation")
     if k_max < 2:
@@ -199,6 +201,8 @@ def solution_map_experiment(R: float = 0.1, k_max: int = 8, s: float = 2.5,
     """
     if grid is None:
         grid = Grid(dim=2, n=128, length=2.0 * np.pi)
+    if grid.dim != 2:
+        raise ValueError(f"the solution-map experiment is 2D only, got dim = {grid.dim}")
     L = grid.length
     x_star = np.array([0.75 * L, 0.75 * L])
     u_base = div_free_bump(grid, [0.25 * L, 0.25 * L], r=1.2, s=s,

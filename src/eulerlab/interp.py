@@ -2,10 +2,10 @@
 
 Two families:
 
-- B-spline (order 3 or 5): ``scipy.ndimage.spline_filter`` turns samples
-  into spline coefficients (the periodic recursive prefilter, mode
-  ``grid-wrap``), then ``scipy.ndimage.map_coordinates`` evaluates the
-  compact-support kernel per query point with the same wrapping.
+- B-spline (order 3 or 5): one ``Grid.rfft`` per component gives its
+  unpaired-Nyquist power share (the warning) and, divided by the B-spline
+  symbols, its coefficients; ``scipy.ndimage.map_coordinates`` evaluates
+  the compact-support kernel per query point, ``grid-wrap`` wrapped.
   O(1) per point after the prefilter; accuracy O(h^{order+1}).
 - Exact trigonometric evaluation (``order="fourier"``): sums the Fourier
   series at the query points by sum factorisation, dim * n exponentials
@@ -26,10 +26,17 @@ import warnings
 
 import numpy as np
 
-from .spectral import Grid, _Field
+from .spectral import _Field
 
-__all__ = ["Interpolant", "sample"]
+__all__ = ["ORDERS", "Interpolant", "sample"]
 
+# Transforms, per axis at theta = xi h, of the centred B-splines sampled on
+# the integers: the prefilter divides by them (Unser, Aldroubi & Eden 1993).
+_BSPLINE_SYMBOLS = {
+    3: lambda theta: (2.0 + np.cos(theta)) / 3.0,
+    5: lambda theta: (33.0 + 26.0 * np.cos(theta) + np.cos(2.0 * theta)) / 60.0,
+}
+ORDERS = (*_BSPLINE_SYMBOLS, "fourier")
 DEFAULT_ORDER = 3
 _NYQUIST_WARN = 1e-6
 _FOURIER_BLOCK = 4096  # query points per trigonometric-sum block
@@ -40,14 +47,14 @@ class Interpolant:
 
     ``points`` has shape (dim, ...) in physical coordinates; the result
     has the field's component axes followed by the point shape.  Splines
-    warn when unpaired Nyquist modes carry > _NYQUIST_WARN of the power,
-    measured on the samples without a transform (:func:`_nyquist_power`).
-    An identically zero component gets no prefilter and evaluates to 0.0.
+    prefilter on each component's half spectrum and warn when unpaired
+    Nyquist modes carry > _NYQUIST_WARN of its Hermitian-weighted power.
+    An identically zero component gets no transform and evaluates to 0.0.
     """
 
     def __init__(self, field: _Field, order: int | str = DEFAULT_ORDER):
         grid = field.grid
-        if order not in (3, 5, "fourier"):
+        if order not in ORDERS:
             raise ValueError(f"order must be 3, 5 or 'fourier', got {order!r}")
         self.grid = grid
         self.order = order
@@ -60,20 +67,25 @@ class Interpolant:
             self._hat = hat.reshape((-1,) + grid.shape)
             self._xi = (2.0 * np.pi / grid.length) * np.fft.fftfreq(grid.n, 1.0 / grid.n)
         else:
-            total, nyq = _nyquist_power(grid, field.data)
-            if total > 0 and nyq > _NYQUIST_WARN * total:
+            self._coeffs = []
+            total = nyq = 0.0
+            for c in field.data.reshape((-1,) + grid.shape):
+                if not c.any():
+                    self._coeffs.append(None)
+                    continue
+                hat = grid.rfft(c)
+                power = grid.weight * (hat.real ** 2 + hat.imag ** 2)
+                total += power.sum()
+                nyq += power.sum(where=grid.nyquist_mask)
+                for xi in grid.xi_axes:
+                    hat /= _BSPLINE_SYMBOLS[order](xi * grid.spacing)
+                self._coeffs.append(grid._irfft_consuming(hat))
+            if nyq > _NYQUIST_WARN * total:
                 warnings.warn(
                     "field has significant unpaired Nyquist content; "
                     "spline interpolation of it is not well defined",
                     stacklevel=2,
                 )
-            from scipy import ndimage
-
-            self._coeffs = [
-                ndimage.spline_filter(c, order=order, mode="grid-wrap")
-                if c.any() else None
-                for c in field.data.reshape((-1,) + grid.shape)
-            ]
 
     def at(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=np.float64)
@@ -112,30 +124,6 @@ class Interpolant:
                 acc = np.einsum("cp...a,pa->cp...", acc, e_j)
             out[:, sl] = acc.real
         return out
-
-
-def _nyquist_power(grid: Grid, data: np.ndarray) -> tuple[float, float]:
-    """(total, nyquist) power of real samples over the last ``dim`` axes,
-    summed over components: the full-lattice sum of |f_hat|^2 and its part
-    on the unpaired Nyquist modes (some |k_j| = n/2), without a transform.
-
-    The k_j = n/2 part of f along axis j is s_j mean_j(s_j f), with
-    s_j = (-1)^index; the power on the union of these planes follows by
-    inclusion-exclusion over the non-empty sets of pinned axes, each term
-    the mean square (Parseval) of the samples reduced against s / n.
-    """
-    def sum_sq(m):  # einsum: a threaded BLAS dot took ~20x longer on 2 cores
-        return float(np.einsum("i,i->", m.ravel(), m.ravel()))
-
-    sign = np.resize([1.0, -1.0], grid.n) / grid.n
-    lead = data.ndim - grid.dim
-    nyq = 0.0
-    level = [(data, -1)]  # (samples reduced over the pinned axes, last one)
-    for k in range(1, grid.dim + 1):
-        level = [(np.moveaxis(m, lead + j - (k - 1), -1) @ sign, j)
-                 for m, last in level for j in range(last + 1, grid.dim)]
-        nyq += (-1) ** (k + 1) * grid.n**k * sum(sum_sq(m) for m, _ in level)
-    return sum_sq(data) / grid.size, nyq / grid.size
 
 
 def sample(field: _Field, points: np.ndarray,

@@ -22,7 +22,7 @@ import numpy as np
 from .bform import BAssembly
 from .eulerian import BlowUpError, EulerState, Trajectory, _rk, _step_count
 from .fields import jacobian
-from .interp import DEFAULT_ORDER, Interpolant
+from .interp import DEFAULT_ORDER, ORDERS, Interpolant
 from .spectral import (
     Grid,
     MatrixField,
@@ -209,12 +209,14 @@ class GeodesicState:
 @dataclass(frozen=True)
 class GeodesicConfig:
     dt: float = 1e-2
-    order: object = DEFAULT_ORDER  # 3, 5 or "fourier"
+    order: object = DEFAULT_ORDER  # one of interp.ORDERS
     cutoff: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
+        if self.order not in ORDERS:
+            raise ValueError(f"order must be 3, 5 or 'fourier', got {self.order!r}")
 
 
 @dataclass(frozen=True)

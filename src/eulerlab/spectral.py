@@ -292,7 +292,9 @@ def partial_derivative(f: _Field, axis: int):
 
 
 def dealias(f: _Field):
-    """2/3-rule truncation; applied after every pointwise product."""
+    """2/3-rule truncation of a field.  The package's products do not call
+    it: ``bform`` folds ``dealias_mask`` into its symbols, ``fields.advect``
+    and ``div_evolution_residual`` multiply by it."""
     return type(f).from_hat(f.grid, np.where(f.grid.dealias_mask, f.hat, 0.0))
 
 

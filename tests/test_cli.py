@@ -138,6 +138,25 @@ class TestExitCodes:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("experiment", ["composition", "solution-map", "both"])
+    def test_separation_in_3d_is_2(self, experiment, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = run(["illposedness", "--experiment", experiment, "--n", "3",
+                    "--N", "16", "--kmax", "2", "--out", out])
+        assert code == EXIT_CONFIG
+        assert "experiment is 2D only" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_verify_names_its_fixed_horizon(self, capsys):
+        assert run(["verify", "--N", "16", "--dt", "0.03"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "fixed horizon t = 0.1 is not a multiple of dt = 0.03" in err
+        assert "T = 0.1" not in err
+
+    def test_verify_horizon_is_not_checked_in_3d(self):
+        # the 3D battery has no time integration
+        assert run(["verify", "--n", "3", "--N", "8", "--dt", "0.03"]) == EXIT_OK
+
     def test_composition_single_row_is_2(self, tmp_path, capsys):
         code = run(["illposedness", "--experiment", "composition", "--N", "16",
                     "--kmax", "1", "--out", tmp_path / "c"])

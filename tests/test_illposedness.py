@@ -107,6 +107,15 @@ class TestCompositionExperiment:
         with pytest.raises(ValueError):
             composition_experiment(M=0.5, delta1=0.4)
 
+    def test_rejects_a_3d_grid_first(self, monkeypatch):
+        from eulerlab import illposedness
+
+        def no_field(*args, **kwargs):
+            raise AssertionError("a field was built")
+        monkeypatch.setattr(illposedness, "bump", no_field)
+        with pytest.raises(ValueError, match="composition experiment is 2D only"):
+            composition_experiment(k_max=2, grid=Grid(dim=3, n=16, length=TAU))
+
 
 class TestSolutionMapExperiment:
     def test_small_run_shape(self):
@@ -120,6 +129,15 @@ class TestSolutionMapExperiment:
         g = Grid(dim=2, n=32, length=TAU)
         with pytest.raises(ValueError, match="k_max must be >= 1, got 0"):
             solution_map_experiment(k_max=0, grid=g)
+
+    def test_rejects_a_3d_grid_first(self, monkeypatch):
+        from eulerlab import illposedness
+
+        def no_field(*args, **kwargs):
+            raise AssertionError("a field was built")
+        monkeypatch.setattr(illposedness, "div_free_bump", no_field)
+        with pytest.raises(ValueError, match="solution-map experiment is 2D only"):
+            solution_map_experiment(k_max=2, grid=Grid(dim=3, n=16, length=TAU))
 
 
 class TestScalingIdentity:

@@ -13,7 +13,7 @@ from eulerlab import (
     random_div_free,
     random_scalar,
 )
-from eulerlab.interp import _FOURIER_BLOCK, Interpolant, _nyquist_power, sample
+from eulerlab.interp import _FOURIER_BLOCK, _NYQUIST_WARN, Interpolant, sample
 
 from conftest import FullLattice
 
@@ -100,14 +100,36 @@ class TestWrap:
                          np.nextafter(-L, 0.0), 1e6, -1e6, 0.3])
         pts = np.stack([a.ravel() for a in np.meshgrid(edge, edge, indexing="ij")])
         f = random_div_free(grid32, rng)
-        ref = np.stack([
-            ndimage.map_coordinates(
-                ndimage.spline_filter(c, order=order, mode="grid-wrap"),
-                (pts % L) / h, order=order, mode="grid-wrap", prefilter=False)
-            for c in f.data])
         interp = Interpolant(f, order=order)
+        ref = np.stack([
+            ndimage.map_coordinates(c, (pts % L) / h, order=order,
+                                    mode="grid-wrap", prefilter=False)
+            for c in interp._coeffs])
         assert interp.field is f
         assert np.array_equal(interp.at(pts), ref)
+
+
+class TestPrefilter:
+    """The spectral prefilter against ndimage's recursive one."""
+
+    @pytest.mark.parametrize("kind", ["smooth", "noise"])
+    @pytest.mark.parametrize("order", [3, 5])
+    @pytest.mark.parametrize("dim,n", [(2, 16), (2, 64), (2, 512), (3, 16)])
+    def test_matches_ndimage_spline_filter(self, rng, dim, n, order, kind):
+        import warnings
+
+        from scipy import ndimage
+
+        grid = Grid(dim=dim, n=n, length=TAU)
+        if kind == "smooth":
+            data = random_scalar(grid, rng).data
+        else:  # white noise: every mode, the unpaired Nyquist ones too
+            data = rng.standard_normal(grid.shape)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            (coeffs,) = Interpolant(ScalarField(grid, data), order=order)._coeffs
+        ref = ndimage.spline_filter(data, order=order, mode="grid-wrap")
+        assert np.linalg.norm(coeffs - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 class TestNyquistWarning:
@@ -127,13 +149,15 @@ class TestNyquistWarning:
 
 
 class TestNyquistPower:
-    """The transform-free (total, Nyquist) power against the Hermitian-
-    weighted half-spectrum sum it replaces."""
+    """The Nyquist-content warning against the Hermitian-weighted power of
+    an FFT reference: planted fields warn, smooth ones stay silent."""
 
     @pytest.mark.parametrize("planted", [False, True])
     @pytest.mark.parametrize("rank", [0, 1, 2])
     @pytest.mark.parametrize("dim,n", [(2, 16), (2, 32), (3, 16), (3, 32)])
     def test_matches_fft_reference(self, rng, dim, n, rank, planted):
+        import warnings
+
         grid = Grid(dim=dim, n=n, length=TAU)
         comps = (dim,) * rank
         data = np.stack([random_scalar(grid, rng, max_xi=3.0).data
@@ -143,15 +167,15 @@ class TestNyquistPower:
             data = data + 0.3 * rng.standard_normal(data.shape)
         hat = grid.rfft(data)
         power = grid.weight * (hat.real ** 2 + hat.imag ** 2)
-        ref_total = float(np.sum(power))
         ref_nyq = float(np.sum(np.where(grid.nyquist_mask, power, 0.0)))
-        total, nyq = _nyquist_power(grid, data)
-        assert abs(total - ref_total) <= 1e-13 * ref_total
-        assert abs(nyq - ref_nyq) <= 1e-13 * ref_total
-        if planted:
-            assert abs(nyq - ref_nyq) <= 1e-13 * ref_nyq
-        else:
-            assert ref_nyq <= 1e-20 * ref_total
+        assert (ref_nyq > _NYQUIST_WARN * float(np.sum(power))) == planted
+        field = {0: ScalarField, 1: VectorField, 2: MatrixField}[rank](grid, data)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            Interpolant(field, order=3)
+        assert [str(w.message) for w in caught] == (
+            ["field has significant unpaired Nyquist content; "
+             "spline interpolation of it is not well defined"] if planted else [])
 
 
 class TestZeroComponents:

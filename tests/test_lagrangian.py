@@ -307,6 +307,14 @@ class TestGeodesic:
         assert np.max(np.abs(exp_map(u0, 0.0).displacement.data)) == 0.0
 
 
+class TestGeodesicConfig:
+    @pytest.mark.parametrize("order", [7, 4, "linear", None])
+    def test_rejects_unknown_order(self, order):
+        # a parameter error at construction, not a BlowUpError mid-solve
+        with pytest.raises(ValueError, match="order must be 3, 5 or 'fourier'"):
+            GeodesicConfig(dt=0.01, order=order)
+
+
 class TestGeodesicFailures:
     """Every numerical failure inside a geodesic step surfaces from
     geodesic_solve as BlowUpError."""
