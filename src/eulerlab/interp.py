@@ -14,10 +14,7 @@ Two families:
 
 Query points are physical coordinates on the torus; any real values are
 accepted and wrapped into [0, L) by ``fmod`` plus L where negative, the
-value ``%`` gives without the quotient it also computes.  An interpolant
-keeps the field it was built from (``.field``), so ``lagrangian.compose``
-can take one in place of the field and a caller composing one field with
-many maps pays the prefilter once.
+value ``%`` gives without the quotient it also computes.
 """
 
 from __future__ import annotations
@@ -42,6 +39,13 @@ _NYQUIST_WARN = 1e-6
 _FOURIER_BLOCK = 4096  # query points per trigonometric-sum block
 
 
+def _check_order(order) -> None:
+    """ValueError unless order is one of ORDERS as an integer or a string:
+    3.0 == 3, but the spline evaluation takes only an integer order."""
+    if order not in ORDERS or not isinstance(order, (int, np.integer, str)):
+        raise ValueError(f"order must be 3, 5 or 'fourier', got {order!r}")
+
+
 class Interpolant:
     """Prepared interpolant of one field; evaluate with ``.at(points)``.
 
@@ -54,11 +58,9 @@ class Interpolant:
 
     def __init__(self, field: _Field, order: int | str = DEFAULT_ORDER):
         grid = field.grid
-        if order not in ORDERS:
-            raise ValueError(f"order must be 3, 5 or 'fourier', got {order!r}")
+        _check_order(order)
         self.grid = grid
         self.order = order
-        self.field = field
         self._comp_shape = field.data.shape[: field.data.ndim - grid.dim]
         if order == "fourier":
             # Full lattice: off the grid points the half lattice's +N/2 sign

@@ -22,7 +22,7 @@ import numpy as np
 from .bform import BAssembly
 from .eulerian import BlowUpError, EulerState, Trajectory, _rk, _step_count
 from .fields import jacobian
-from .interp import DEFAULT_ORDER, ORDERS, Interpolant
+from .interp import DEFAULT_ORDER, Interpolant, _check_order
 from .spectral import (
     Grid,
     MatrixField,
@@ -100,25 +100,15 @@ def compose(f, phi: Diffeo, order=DEFAULT_ORDER):
     """Right translation R_phi f = f o phi by periodic interpolation.
 
     Only the nodes phi moves are interpolated; at a node phi fixes (zero
-    displacement) the sample of f is copied, which is exact.  ``f`` may
-    also be an :class:`Interpolant` of the field, of the given order, so
-    a field composed with many maps is prefiltered once.
+    displacement) the sample of f is copied, which is exact.
     """
-    interp = None
-    if isinstance(f, Interpolant):
-        if f.order != order:
-            raise ValueError(f"interpolant has order {f.order!r}, "
-                             f"compose was asked for {order!r}")
-        interp, f = f, f.field
     grid = _check_same_grid(f, phi.displacement)
     g = phi.displacement.data
     sel = _moved_nodes(g)
     vals = f.data.copy()
     if sel is not None:
         points = np.stack([c[sel] for c in grid.coords()]) + g[:, sel]
-        if interp is None:
-            interp = Interpolant(f, order=order)
-        vals[..., sel] = interp.at(points)
+        vals[..., sel] = Interpolant(f, order=order).at(points)
     return type(f)(grid, vals)
 
 
@@ -215,8 +205,7 @@ class GeodesicConfig:
     def __post_init__(self) -> None:
         if not self.dt > 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.order not in ORDERS:
-            raise ValueError(f"order must be 3, 5 or 'fourier', got {self.order!r}")
+        _check_order(self.order)
 
 
 @dataclass(frozen=True)
@@ -231,7 +220,6 @@ class GeodesicTrajectory:
 
 def _christoffel(phi, v, bb, order, inv_guess):
     """(Gamma_phi(v, v), psi = phi^{-1}); Gamma_phi(v, v) = R_phi grad B(v o psi)."""
-    _check_same_grid(v, phi.displacement)
     psi = invert(phi, order=order, guess=inv_guess)
     u = compose(v, psi, order=order)
     return compose(bb.grad_b(u), phi, order=order), psi
@@ -266,11 +254,13 @@ def _geodesic_step(state: GeodesicState, bb: BAssembly, cfg: GeodesicConfig,
 def geodesic_step(state: GeodesicState, cfg: GeodesicConfig | None = None,
                   bb: BAssembly | None = None) -> GeodesicState:
     """One RK4 step of d_t(phi, v) = (v, Gamma_phi(v, v)) of size cfg.dt;
-    raises BlowUpError when the map folds or a sample turns non-finite."""
+    raises BlowUpError when the map folds or a sample turns non-finite,
+    and rejects a state or an assembly that mixes grids before stepping."""
     if cfg is None:
         cfg = GeodesicConfig()
     if bb is None:
         bb = BAssembly(state.v.grid, cutoff=cfg.cutoff)
+    _check_same_grid(state.v, state.phi.displacement, bb)
     new_state, _ = _geodesic_step(state, bb, cfg, None)
     return new_state
 

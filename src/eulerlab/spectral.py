@@ -305,6 +305,8 @@ def dealias(f: _Field):
 
 def _sobolev_weight(grid: Grid, s: float) -> np.ndarray:
     """(1+|xi|^2)^s times the Hermitian weight of each half-lattice mode."""
+    if not np.isfinite(s):
+        raise ValueError("s must be finite")
     return grid.weight * (1.0 + grid.xi_sq) ** s
 
 
@@ -314,8 +316,6 @@ def sobolev_norm(f: _Field, s: float) -> float:
 
     Vector and matrix fields sum the squared norms of their components.
     """
-    if not np.isfinite(s):
-        raise ValueError("s must be finite")
     hat = f.hat
     w = _sobolev_weight(f.grid, s)
     return float(np.sqrt(np.sum(w * (hat.real ** 2 + hat.imag ** 2))))

@@ -9,6 +9,7 @@ from eulerlab import (
     GeodesicConfig,
     Grid,
     SeparationSeries,
+    compose,
     composition_experiment,
     dexp_fd,
     dexp_richardson,
@@ -79,8 +80,8 @@ class TestCompositionExperiment:
             composition_experiment(R=0.1, k_max=2,
                                    grid=Grid(dim=2, n=16, length=TAU))
 
-    def test_prefilters_the_base_field_once(self, monkeypatch):
-        # per row: the strip displacement and nu_base; f_base once
+    def test_prefilters_only_the_row_fields(self, monkeypatch):
+        # per row: the strip displacement and nu_base; f_base never
         built = []
         init = Interpolant.__init__
         monkeypatch.setattr(Interpolant, "__init__", lambda self, *a, **kw:
@@ -88,7 +89,33 @@ class TestCompositionExperiment:
         k_max = 3
         composition_experiment(R=0.1, k_max=k_max,
                                grid=Grid(dim=2, n=64, length=TAU))
-        assert len(built) == 2 * k_max + 1
+        assert len(built) == 2 * k_max
+
+    @pytest.mark.parametrize("n, k_max", [(64, 13), (512, 4)])
+    def test_strip_maps_fix_the_base_bump(self, monkeypatch, n, k_max):
+        # the rows take nu(f_base, phi_k) = f_base: each inverse strip map
+        # psi_k must fix every node where the base bump is nonzero
+        from eulerlab import illposedness
+
+        bumps, maps = [], []
+        bump, invert = illposedness.bump, illposedness.invert
+        monkeypatch.setattr(illposedness, "bump", lambda *a, **kw:
+                            bumps.append(bump(*a, **kw)) or bumps[-1])
+        monkeypatch.setattr(illposedness, "invert", lambda *a, **kw:
+                            maps.append(invert(*a, **kw)) or maps[-1])
+        composition_experiment(R=0.1, k_max=k_max,
+                               grid=Grid(dim=2, n=n, length=TAU))
+        f_base = bumps[0]  # the base bump, before its normalisation
+        assert len(maps) == k_max
+        for psi in maps:
+            moved = np.any(psi.displacement.data != 0.0, axis=0)
+            assert moved.any()
+            assert not np.any(moved & (f_base.data != 0.0))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                got = compose(f_base, psi, order=illposedness._COMPOSITION_ORDER)
+            assert (np.max(np.abs(got.data - f_base.data))
+                    <= 1e-14 * np.max(np.abs(f_base.data)))
 
     def test_metadata_recorded(self, series):
         assert series.metadata["experiment"] == "composition"

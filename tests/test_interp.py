@@ -88,6 +88,13 @@ class TestSplineAccuracy:
         assert np.max(np.abs(v3 - vf)) < 5e-4
 
 
+class TestOrder:
+    @pytest.mark.parametrize("order", [3.0, 5.0, 7, "linear"])
+    def test_rejects_non_order(self, grid16, rng, order):
+        with pytest.raises(ValueError, match="order must be 3, 5 or 'fourier'"):
+            Interpolant(random_scalar(grid16, rng), order=order)
+
+
 class TestWrap:
     """Spline evaluation wraps points into [0, L) as ``%`` does."""
 
@@ -105,7 +112,6 @@ class TestWrap:
             ndimage.map_coordinates(c, (pts % L) / h, order=order,
                                     mode="grid-wrap", prefilter=False)
             for c in interp._coeffs])
-        assert interp.field is f
         assert np.array_equal(interp.at(pts), ref)
 
 

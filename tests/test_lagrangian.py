@@ -220,29 +220,6 @@ class TestMovedNodes:
         assert np.array_equal(compose(f, identity(grid32)).data, f.data)
         assert sizes == []
 
-    @pytest.mark.parametrize("kind", ["strip", "bump", "all", "identity"])
-    def test_compose_takes_an_interpolant(self, kind, grid32, rng):
-        if kind == "all":
-            phi = Diffeo(0.05 * random_div_free(grid32, rng))
-            assert np.all(phi.displacement.data != 0.0)
-        elif kind == "identity":
-            phi = identity(grid32)
-        else:
-            phi = _MAPS[kind](grid32)
-        for f in (random_scalar(grid32, rng), random_div_free(grid32, rng)):
-            ref = compose(f, phi, order=5)
-            got = compose(Interpolant(f, order=5), phi, order=5)
-            assert type(got) is type(f)
-            assert np.array_equal(got.data, ref.data)
-
-    def test_compose_rejects_mismatched_interpolant(self, grid16, grid32, rng):
-        phi = _strip_shear(grid32)
-        f = random_scalar(grid32, rng)
-        with pytest.raises(ValueError, match="order"):
-            compose(Interpolant(f, order=3), phi, order=5)
-        with pytest.raises(GridMismatchError):
-            compose(Interpolant(random_scalar(grid16, rng), order=5), phi, order=5)
-
     def test_guess_ignored_on_fixed_nodes(self, grid32):
         phi = _strip_shear(grid32)
         fixed = ~np.any(phi.displacement.data != 0.0, axis=0)
@@ -308,9 +285,10 @@ class TestGeodesic:
 
 
 class TestGeodesicConfig:
-    @pytest.mark.parametrize("order", [7, 4, "linear", None])
+    @pytest.mark.parametrize("order", [7, 4, "linear", None, 3.0, 5.0])
     def test_rejects_unknown_order(self, order):
-        # a parameter error at construction, not a BlowUpError mid-solve
+        # a parameter error at construction, not a BlowUpError (or, for
+        # 3.0 == 3, a TypeError) mid-solve
         with pytest.raises(ValueError, match="order must be 3, 5 or 'fourier'"):
             GeodesicConfig(dt=0.01, order=order)
 
@@ -349,6 +327,12 @@ class TestGeodesicFailures:
             geodesic_step(GeodesicState(0.0, identity(grid16), u0),
                           GeodesicConfig(dt=0.05))
         assert isinstance(err.value.__cause__, ValueError)
+
+    def test_public_step_rejects_assembly_on_other_grid(self, grid16, grid32, rng):
+        # a parameter error before stepping, as in eulerian.step
+        state = GeodesicState(0.0, identity(grid32), random_div_free(grid32, rng))
+        with pytest.raises(GridMismatchError):
+            geodesic_step(state, GeodesicConfig(dt=0.01), BAssembly(grid16))
 
     def test_non_finite_newton_iterate(self, grid16, rng, monkeypatch):
         # a negative tolerance is never met, not even by a residual that

@@ -132,6 +132,14 @@ class TestSobolevNorm:
         rhs = 0.25 * (sobolev_norm(f + g, s) ** 2 - sobolev_norm(f - g, s) ** 2)
         assert abs(lhs - rhs) < 1e-10
 
+    @pytest.mark.parametrize("s", [np.nan, np.inf, -np.inf])
+    def test_non_finite_s_rejected(self, grid16, rng, s):
+        f = random_scalar(grid16, rng)
+        with pytest.raises(ValueError, match="s must be finite"):
+            sobolev_norm(f, s)
+        with pytest.raises(ValueError, match="s must be finite"):
+            sobolev_inner(f, f, s)
+
     def test_monotone_in_s(self, grid16, rng):
         f = random_scalar(grid16, rng)
         norms = [sobolev_norm(f, s) for s in (0.0, 1.0, 2.0, 3.0)]
