@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .fields import advect, divergence, jacobian, leray_project
+from .fields import advect, divergence, leray_project
 from .spectral import (
     Grid,
     ScalarField,
@@ -43,12 +43,12 @@ class BAssembly:
     positive value yields a consistent pressure.
 
     Everything is evaluated on half spectra (``Grid.rfft``), with the
-    2/3-rule mask folded into the precomputed symbols.  ``rhs_hat`` runs
-    in buffers the assembly owns, allocated on its first call: one
-    inverse transform for all planes of (u, du), the products, trace and
-    advection written into one real stack, and one forward transform for
-    all of them.  Those buffers make an assembly unsafe to share between
-    threads.
+    2/3-rule mask folded into the precomputed symbols.  ``rhs_hat`` and
+    every B method share one pass in buffers the assembly owns, allocated
+    on its first call: one inverse transform for all planes of (u, du),
+    the products, trace and advection written into one real stack, and
+    one forward transform for all of them.  Those buffers make an
+    assembly unsafe to share between threads, for any of its methods.
     """
 
     grid: Grid
@@ -76,26 +76,9 @@ class BAssembly:
 
     # -- half-spectrum core ----------------------------------------------
 
-    def _products(self, u: np.ndarray, du: np.ndarray, out: np.ndarray) -> None:
-        """Write the products u_i u_k (i <= k) and the trace
-        sum_ik d_i u_k d_k u_i into the planes of ``out``."""
-        for p, (i, k) in enumerate(self._pairs):
-            np.multiply(u[i], u[k], out=out[p])
-        np.einsum("ik...,ki...->...", du, du, out=out[len(self._pairs)])
-
-    def _contract(self, spec: np.ndarray) -> np.ndarray:
-        """Half spectrum of B from the spectra of ``_products``, contracted
-        with the B1 and B2 symbols in place; returns the plane spec[0]."""
-        m = len(self._pairs)
-        np.multiply(self._b1_symbol, spec[:m], out=spec[:m])
-        np.multiply(self._b2_symbol, spec[m], out=spec[m])
-        for p in range(1, m + 1):
-            np.add(spec[0], spec[p], out=spec[0])
-        return spec[0]
-
     @cached_property
     def _workspace(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``rhs_hat``'s buffers: a complex stack for the spectra of (u, du)
+        """``_spectra``'s buffers: a complex stack for the spectra of (u, du)
         and later of the products, the real samples of (u, du), and the
         real products, trace and advection."""
         g, m = self.grid, len(self._pairs)
@@ -104,9 +87,10 @@ class BAssembly:
                 np.empty((factors,) + g.shape),
                 np.empty((m + 1 + g.dim,) + g.shape))
 
-    def rhs_hat(self, u_hat: np.ndarray) -> np.ndarray:
-        """Half spectrum of grad B(u) - (u . grad) u from that of u; a new
-        array, ``u_hat`` is left untouched."""
+    def _spectra(self, u_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Half spectra of B(u) and of the advection (u . grad) u from that
+        of u, the latter not yet dealiased: views of the workspace, valid
+        until the next call; ``u_hat`` is left untouched."""
         g, d, m = self.grid, self.grid.dim, len(self._pairs)
         spec, samples, planes = self._workspace
         np.copyto(spec[:d], u_hat)
@@ -115,30 +99,42 @@ class BAssembly:
                     out=spec[d:].reshape((d, d) + g.xi_sq.shape))
         g._irfft_consuming(spec, out=samples)
         u, du = samples[:d], samples[d:].reshape((d, d) + g.shape)
-        self._products(u, du, planes)
-        # advection sum_k u_k d_k u_i, consuming du
-        adv = planes[m + 1:]
+        # the products u_i u_k (i <= k), the trace sum_ik d_i u_k d_k u_i
+        # and the advection sum_k u_k d_k u_i, consuming du
+        for p, (i, k) in enumerate(self._pairs):
+            np.multiply(u[i], u[k], out=planes[p])
+        np.einsum("ik...,ki...->...", du, du, out=planes[m])
         np.multiply(du, u, out=du)
-        np.sum(du, axis=1, out=adv)
+        np.sum(du, axis=1, out=planes[m + 1:])
         spec = g.rfft(planes, out=spec[:m + 1 + d])
-        out = g.deriv * self._contract(spec)
-        adv_hat = spec[m + 1:]
-        np.multiply(g.dealias_mask, adv_hat, out=adv_hat)
+        # contraction with the B1 and B2 symbols, summed into spec[0]
+        np.multiply(self._b1_symbol, spec[:m], out=spec[:m])
+        np.multiply(self._b2_symbol, spec[m], out=spec[m])
+        for p in range(1, m + 1):
+            np.add(spec[0], spec[p], out=spec[0])
+        return spec[0], spec[m + 1:]
+
+    def rhs_hat(self, u_hat: np.ndarray) -> np.ndarray:
+        """Half spectrum of grad B(u) - (u . grad) u from that of u; a new
+        array, ``u_hat`` is left untouched."""
+        b_hat, adv_hat = self._spectra(u_hat)
+        out = self.grid.deriv * b_hat
+        np.multiply(self.grid.dealias_mask, adv_hat, out=adv_hat)
         return np.subtract(out, adv_hat, out=out)
 
     # -- B, its two pieces and its gradient ---------------------------------
 
     def _b_hat(self, u: VectorField) -> np.ndarray:
+        """Half spectrum of B(u): a workspace view, valid until the next
+        B call."""
         _check_same_grid(u, self.grid)
-        planes = np.empty((len(self._pairs) + 1,) + self.grid.shape)
-        self._products(u.data, jacobian(u).data, planes)
-        return self._contract(self.grid.rfft(planes))
+        return self._spectra(self.grid.rfft(u.data))[0]
 
     # B1 and B2 have symbols on disjoint modes, so each is B on its band
 
     def b1(self, u: VectorField) -> ScalarField:
         """Low-pass piece; output spectrally supported on |xi| <= cutoff.
-        Costs a full evaluation of B, Jacobian included."""
+        Costs a full evaluation of B."""
         return ScalarField(self.grid, self.grid.irfft(
             np.where(self._low, self._b_hat(u), 0.0)))
 

@@ -115,14 +115,24 @@ def _rk(f, y: np.ndarray, dt: float, method: str = "rk4") -> np.ndarray:
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _check_assembly(bb: BAssembly, cutoff: float, *fields) -> None:
+    """Reject an assembly built on another grid than ``fields`` or with
+    another cutoff than the stepper's."""
+    _check_same_grid(*fields, bb)
+    if bb.cutoff != cutoff:
+        raise ValueError(f"assembly cutoff {bb.cutoff} differs from the "
+                         f"configured cutoff {cutoff}")
+
+
 def step(state: EulerState, cfg: StepperConfig,
          bb: BAssembly | None = None) -> EulerState:
     """One explicit Runge-Kutta step on the half spectrum; aborts on
-    non-finite samples and rejects an assembly built on another grid."""
+    non-finite samples and rejects an assembly built on another grid or
+    with another cutoff than ``cfg``'s."""
     grid = state.u.grid
     if bb is None:
         bb = BAssembly(grid, cutoff=cfg.cutoff)
-    _check_same_grid(state.u, bb)
+    _check_assembly(bb, cfg.cutoff, state.u)
     u_hat = grid.rfft(state.u.data) if state.u_hat is None else state.u_hat
     u_next = _rk(lambda c, y: bb.rhs_hat(y), u_hat, cfg.dt, cfg.method)
     try:

@@ -20,7 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bform import BAssembly
-from .eulerian import BlowUpError, EulerState, Trajectory, _rk, _step_count
+from .eulerian import (
+    BlowUpError,
+    EulerState,
+    Trajectory,
+    _check_assembly,
+    _rk,
+    _step_count,
+)
 from .fields import jacobian
 from .interp import DEFAULT_ORDER, Interpolant, _check_order
 from .spectral import (
@@ -129,8 +136,11 @@ def invert(phi: Diffeo, order=DEFAULT_ORDER, tol: float = 1e-10,
     is set there, and the iteration, its residual and the guess cover the
     moved nodes only (phi = id returns at once).  Raises BlowUpError at
     once on a non-finite iterate, and RuntimeError when _INVERT_MAX_ITER
-    iterations run out or a Newton step raises the residual.
+    iterations run out or a Newton step raises the residual, and
+    ValueError unless ``tol`` is positive and finite.
     """
+    if not (tol > 0 and np.isfinite(tol)):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     grid = phi.grid
     sel = _moved_nodes(phi.displacement.data)
     if sel is None:
@@ -255,12 +265,13 @@ def geodesic_step(state: GeodesicState, cfg: GeodesicConfig | None = None,
                   bb: BAssembly | None = None) -> GeodesicState:
     """One RK4 step of d_t(phi, v) = (v, Gamma_phi(v, v)) of size cfg.dt;
     raises BlowUpError when the map folds or a sample turns non-finite,
-    and rejects a state or an assembly that mixes grids before stepping."""
+    and rejects, before stepping, a state or an assembly that mixes grids
+    and an assembly with another cutoff than ``cfg``'s."""
     if cfg is None:
         cfg = GeodesicConfig()
     if bb is None:
         bb = BAssembly(state.v.grid, cutoff=cfg.cutoff)
-    _check_same_grid(state.v, state.phi.displacement, bb)
+    _check_assembly(bb, cfg.cutoff, state.v, state.phi.displacement)
     new_state, _ = _geodesic_step(state, bb, cfg, None)
     return new_state
 

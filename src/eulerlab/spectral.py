@@ -72,6 +72,12 @@ class Grid:
             raise ValueError(f"n must be a power of two >= 8, got {self.n}")
         if not (self.length > 0 and np.isfinite(self.length)):
             raise ValueError(f"length must be positive, got {self.length}")
+        # the largest |xi|^2, dim (pi n / L)^2, must stay a finite float;
+        # half the largest one leaves room for rounding
+        if self.length < np.pi * self.n * np.sqrt(2.0 * self.dim
+                                                  / np.finfo(float).max):
+            raise ValueError(f"length {self.length} is too small: the "
+                             f"wavenumbers of {self.n} points overflow")
 
         # Half lattice: every axis but the last carries the modes
         # -n/2..n/2-1 (fftfreq order), the last one 0..n/2.  The dropped

@@ -39,6 +39,36 @@ class FullLattice:
         """Spectral d/dx_axis with the unpaired Nyquist modes zeroed."""
         return np.where(self.nyquist_mask, 0.0, 1j * self.xi_axes[axis] * hat)
 
+    def dealiased(self, values):
+        """2/3-rule truncation by an fft -> mask -> ifft round trip."""
+        return self.ifft(np.where(self.dealias_mask, self.fft(values), 0.0))
+
+    def jacobian(self, v):
+        """Samples of d_j v_i, as nested lists indexed [i][j]."""
+        v_hat = self.fft(v)
+        return [[self.ifft(self.deriv(v_hat[i], j)) for j in range(self.grid.dim)]
+                for i in range(self.grid.dim)]
+
+    def grad_b(self, u, cutoff):
+        """Samples of grad B(u) for the samples u, one product at a time:
+        every product dealiased by a round trip, B2 from its own Jacobian."""
+        dim, fft, ifft = self.grid.dim, self.fft, self.ifft
+        r2 = cutoff * cutoff * (1.0 + 1e-12)
+        low = self.xi_sq <= r2
+        safe = np.where(self.xi_sq > 0, self.xi_sq, 1.0)
+        b_hat = np.zeros(self.grid.shape, dtype=complex)
+        for i in range(dim):
+            for k in range(dim):
+                sym = np.where(low & (self.xi_sq > 0),
+                               self.xi_axes[i] * self.xi_axes[k] / safe, 0.0)
+                b_hat += sym * fft(self.dealiased(u[i] * u[k]))
+        du = self.jacobian(u)
+        trace = self.dealiased(sum(du[i][k] * du[k][i]
+                                   for i in range(dim) for k in range(dim)))
+        b_hat += np.where(low, 0.0, -1.0 / safe) * fft(trace)
+        b = ifft(b_hat)
+        return np.stack([ifft(self.deriv(fft(b), j)) for j in range(dim)])
+
 
 @pytest.fixture
 def rng():

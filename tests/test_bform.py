@@ -1,5 +1,7 @@
 """The quadratic form B = B1 + B2 replacing the pressure gradient."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -113,3 +115,51 @@ def test_mismatched_grid_is_grid_mismatch_error(grid16, grid32, rng):
                      lambda u: rhs(u, bb16)):
         with pytest.raises(GridMismatchError):
             evaluate(u32)
+
+
+# -- the shared workspace pass ----------------------------------------------
+
+
+def _white_noise(grid, rng):
+    # not divergence-free, content up to the Nyquist modes
+    return VectorField(grid, 0.3 * rng.standard_normal((grid.dim,) + grid.shape))
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (2, 64), (3, 16)])
+@pytest.mark.parametrize("cutoff", [1.0, 3.0])
+def test_grad_b_matches_full_spectrum_reference(dim, n, cutoff, rng):
+    grid = Grid(dim=dim, n=n, length=TAU)
+    u = _white_noise(grid, rng)
+    ref = FullLattice(grid).grad_b(u.data, cutoff)
+    got = BAssembly(grid, cutoff=cutoff).grad_b(u).data
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("dim,n", [(2, 128), (3, 32)])
+@pytest.mark.parametrize("method,factor", [("b", 8), ("b1", 8), ("b2", 8),
+                                           ("grad_b", 4)])
+def test_b_methods_allocate_little_beyond_their_result(dim, n, method, factor,
+                                                       rng):
+    # after the first call has built the workspace, a call allocates its
+    # input spectrum, its result and small buffers only
+    grid = Grid(dim=dim, n=n, length=TAU)
+    evaluate = getattr(BAssembly(grid), method)
+    u = _white_noise(grid, rng)
+    evaluate(u)
+    tracemalloc.start()
+    try:
+        result = evaluate(u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= factor * result.data.nbytes
+
+
+def test_b_result_survives_later_calls(grid3d, rng):
+    bb = BAssembly(grid3d)
+    u, v = _white_noise(grid3d, rng), _white_noise(grid3d, rng)
+    first = bb.b(u)
+    kept = first.data.copy()
+    bb.grad_b(v)
+    assert np.array_equal(first.data, kept)
+    assert np.array_equal(bb.b(u).data, kept)

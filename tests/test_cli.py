@@ -197,6 +197,15 @@ class TestExitCodes:
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_box_length_is_2(self, tmp_path, capsys):
+        # wavenumbers 2 pi k / L beyond the float range are a config error
+        out = tmp_path / "o"
+        assert run(["simulate", "--N", "8", "--L", "1e-300", "--T", "0.01",
+                    "--dt", "0.01", "--out", out]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_unwritable_out_is_2(self, tmp_path, capsys):
         afile = tmp_path / "afile"
         afile.write_text("")

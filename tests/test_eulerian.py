@@ -133,38 +133,14 @@ def test_solution_scaling_covariance(grid32, rng):
 
 
 def _reference_rhs(u, cutoff):
-    """grad B(u) - (u . grad) u on full complex spectra, one product at a
-    time: every product dealiased by an fft -> mask -> ifft round trip,
-    B2 and the advection each from their own Jacobian."""
-    g = FullLattice(u.grid)
-    dim, fft, ifft = u.grid.dim, g.fft, g.ifft
-
-    def dealiased(v):
-        return ifft(np.where(g.dealias_mask, fft(v), 0.0))
-
-    def jac(v):
-        v_hat = fft(v)
-        return [[ifft(g.deriv(v_hat[i], j)) for j in range(dim)]
-                for i in range(dim)]
-
-    r2 = cutoff * cutoff * (1.0 + 1e-12)
-    low = g.xi_sq <= r2
-    safe = np.where(g.xi_sq > 0, g.xi_sq, 1.0)
-    b_hat = np.zeros(u.grid.shape, dtype=complex)
-    for i in range(dim):
-        for k in range(dim):
-            sym = np.where(low & (g.xi_sq > 0), g.xi_axes[i] * g.xi_axes[k] / safe, 0.0)
-            b_hat += sym * fft(dealiased(u.data[i] * u.data[k]))
-    du = jac(u.data)
-    trace = dealiased(sum(du[i][k] * du[k][i]
-                          for i in range(dim) for k in range(dim)))
-    b_hat += np.where(low, 0.0, -1.0 / safe) * fft(trace)
-    b = ifft(b_hat)
-    grad_b = [ifft(g.deriv(fft(b), j)) for j in range(dim)]
-    du = jac(u.data)
-    adv = [dealiased(sum(u.data[k] * du[i][k] for k in range(dim)))
+    """grad B(u) - (u . grad) u on full complex spectra: the reference
+    grad B of ``FullLattice``, and the advection from its own Jacobian,
+    dealiased by an fft -> mask -> ifft round trip."""
+    g, dim = FullLattice(u.grid), u.grid.dim
+    du = g.jacobian(u.data)
+    adv = [g.dealiased(sum(u.data[k] * du[i][k] for k in range(dim)))
            for i in range(dim)]
-    return np.stack(grad_b) - np.stack(adv)
+    return g.grad_b(u.data, cutoff) - np.stack(adv)
 
 
 @pytest.mark.parametrize("dim,n", [(2, 32), (2, 64), (3, 16)])
@@ -303,3 +279,9 @@ def test_step_rejects_assembly_on_other_grid(grid16, grid32, rng):
     state = EulerState(0.0, random_div_free(grid32, rng))
     with pytest.raises(GridMismatchError):
         step(state, StepperConfig(dt=0.01), BAssembly(grid16))
+
+
+def test_step_rejects_assembly_with_other_cutoff(grid16, rng):
+    state = EulerState(0.0, random_div_free(grid16, rng))
+    with pytest.raises(ValueError, match="cutoff"):
+        step(state, StepperConfig(dt=0.01, cutoff=3.0), BAssembly(grid16))

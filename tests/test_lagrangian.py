@@ -110,6 +110,17 @@ class TestInversion:
         rt = compose_diffeo(phi, psi, order="fourier")
         assert np.max(np.abs(rt.displacement.data)) < 1e-9
 
+    @pytest.mark.parametrize("tol", [np.nan, 0.0, -1.0, np.inf])
+    def test_invert_rejects_tol_not_positive_and_finite(self, grid16, tol,
+                                                       monkeypatch):
+        # a parameter error, raised before any interpolation, also for the
+        # identity; inf would accept any iterate and nan, 0 and -1 none
+        calls = _record_points(monkeypatch)
+        for phi in (shift(grid16, np.array([0.3, -0.1])), identity(grid16)):
+            with pytest.raises(ValueError, match="tol"):
+                invert(phi, tol=tol)
+        assert calls == []
+
     def test_folded_map_fails_fast(self, grid16, monkeypatch):
         # x1 + 1.5 sin x1 folds near x1 = pi: Newton fires and the
         # residual rises, which ends the iteration well before the cap
@@ -215,7 +226,7 @@ class TestMovedNodes:
     def test_identity_is_free_and_exact(self, grid32, rng, monkeypatch):
         sizes = _record_points(monkeypatch)
         f = random_div_free(grid32, rng)
-        psi = invert(identity(grid32), tol=-1.0)
+        psi = invert(identity(grid32), tol=np.finfo(float).tiny)
         assert np.all(psi.displacement.data == 0.0)
         assert np.array_equal(compose(f, identity(grid32)).data, f.data)
         assert sizes == []
@@ -334,15 +345,22 @@ class TestGeodesicFailures:
         with pytest.raises(GridMismatchError):
             geodesic_step(state, GeodesicConfig(dt=0.01), BAssembly(grid16))
 
+    def test_public_step_rejects_assembly_with_other_cutoff(self, grid16, rng):
+        state = GeodesicState(0.0, identity(grid16), random_div_free(grid16, rng))
+        with pytest.raises(ValueError, match="cutoff"):
+            geodesic_step(state, GeodesicConfig(dt=0.01, cutoff=3.0),
+                          BAssembly(grid16))
+
     def test_non_finite_newton_iterate(self, grid16, rng, monkeypatch):
-        # a negative tolerance is never met, not even by a residual that
-        # rounds to 0, so the contraction stalls and Newton fires; its
-        # solve is replaced by one returning NaN
+        # the smallest positive tolerance is met only by a residual that
+        # rounds to 0; at this amplitude the contraction stalls above 0
+        # and Newton fires, its solve replaced by one returning NaN
         solve_ = np.linalg.solve
         monkeypatch.setattr(np.linalg, "solve",
                             lambda a, b: np.full_like(solve_(a, b), np.nan))
-        monkeypatch.setattr(lagrangian, "invert", functools.partial(invert, tol=-1.0))
-        u0 = random_div_free(grid16, rng, norm_value=0.2)
+        monkeypatch.setattr(lagrangian, "invert",
+                            functools.partial(invert, tol=np.finfo(float).tiny))
+        u0 = random_div_free(grid16, rng, norm_value=1.0)
         with pytest.raises(BlowUpError, match="non-finite iterate"):
             geodesic_solve(u0, 0.1, GeodesicConfig(dt=0.05))
 

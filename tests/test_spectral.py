@@ -1,5 +1,7 @@
 """Grid, field containers, the low-pass chi(D), Sobolev norms."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,15 @@ class TestGrid:
             Grid(dim=2, n=17)
         with pytest.raises(ValueError):
             Grid(dim=2, n=16, length=-1.0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_rejects_length_whose_wavenumbers_overflow(self, dim):
+        # |xi|^2 up to dim (pi n / L)^2: finite at L = 1e-150, not at 1e-300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="wavenumbers"):
+                Grid(dim=dim, n=8, length=1e-300)
+            assert np.all(np.isfinite(Grid(dim=dim, n=8, length=1e-150).xi_sq))
 
     def test_fft_roundtrip(self, grid16, rng):
         data = rng.standard_normal(grid16.shape)
