@@ -42,13 +42,13 @@ class BAssembly:
     sum B1 + B2 is independent of it up to the band bookkeeping, so any
     positive value yields a consistent pressure.
 
-    Everything is evaluated on half spectra (``Grid.rfft``), with the
-    2/3-rule mask folded into the precomputed symbols.  ``rhs_hat`` and
-    every B method share one pass in buffers the assembly owns, allocated
-    on its first call: one inverse transform for all planes of (u, du),
-    the products, trace and advection written into one real stack, and
-    one forward transform for all of them.  Those buffers make an
-    assembly unsafe to share between threads, for any of its methods.
+    Everything is evaluated on half spectra (``u.hat``; B methods return
+    fields that keep theirs), the 2/3-rule mask folded into the symbols.
+    ``rhs_hat`` and every B method share one pass in buffers the assembly
+    owns, allocated on its first call: one inverse transform for all planes
+    of (u, du), the products, trace and advection written into one real
+    stack, and one forward transform for all of them.  Those buffers make
+    an assembly unsafe to share between threads, for any of its methods.
     """
 
     grid: Grid
@@ -128,28 +128,27 @@ class BAssembly:
         """Half spectrum of B(u): a workspace view, valid until the next
         B call."""
         _check_same_grid(u, self.grid)
-        return self._spectra(self.grid.rfft(u.data))[0]
+        return self._spectra(u.hat)[0]
 
     # B1 and B2 have symbols on disjoint modes, so each is B on its band
 
     def b1(self, u: VectorField) -> ScalarField:
         """Low-pass piece; output spectrally supported on |xi| <= cutoff.
         Costs a full evaluation of B."""
-        return ScalarField(self.grid, self.grid.irfft(
-            np.where(self._low, self._b_hat(u), 0.0)))
+        return ScalarField.from_hat(self.grid,
+                                    np.where(self._low, self._b_hat(u), 0.0))
 
     def b2(self, u: VectorField) -> ScalarField:
         """High-pass piece; output spectrally supported on |xi| > cutoff.
         Costs a full evaluation of B."""
-        return ScalarField(self.grid, self.grid.irfft(
-            np.where(self._low, 0.0, self._b_hat(u))))
+        return ScalarField.from_hat(self.grid,
+                                    np.where(self._low, 0.0, self._b_hat(u)))
 
     def b(self, u: VectorField) -> ScalarField:
-        return ScalarField(self.grid, self.grid.irfft(self._b_hat(u)))
+        return ScalarField.from_hat(self.grid, self._b_hat(u).copy())
 
     def grad_b(self, u: VectorField) -> VectorField:
-        return VectorField(self.grid,
-                           self.grid.irfft(self.grid.deriv * self._b_hat(u)))
+        return VectorField.from_hat(self.grid, self.grid.deriv * self._b_hat(u))
 
     # -- pressure bridge --------------------------------------------------
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .bform import BAssembly
-from .eulerian import BlowUpError, StepperConfig, _step_count, solve
+from .eulerian import BlowUpError, StepperConfig, _monitors, _step_count, solve
 from .fields import (
     biot_savart,
     divergence,
@@ -259,6 +259,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     u0 = _initial_field(cfg, grid)
     _step_count(cfg.T, cfg.dt)
+    if cfg.dynamics == "eulerian":
+        _monitors(grid, cfg.s)  # an overflowing H^s weight is a config error
     # parameters are checked: an unwritable --out fails now, not after T
     out.mkdir(parents=True, exist_ok=True)
 

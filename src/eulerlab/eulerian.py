@@ -8,7 +8,7 @@ flow, which the solver instruments per step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,12 +45,11 @@ class BlowUpError(RuntimeError):
 
 @dataclass(frozen=True)
 class EulerState:
-    """Velocity at time t; ``u_hat`` optionally carries its half spectrum
-    (``Grid.rfft``) from one step to the next."""
+    """Velocity at time t; a stepped state's field keeps the half spectrum
+    it was built from (``u.hat``), so the next step transforms nothing."""
 
     t: float
     u: VectorField
-    u_hat: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,7 @@ def rhs(u: VectorField, bb: BAssembly | None = None) -> VectorField:
     if bb is None:
         bb = BAssembly(u.grid)
     _check_same_grid(u, bb.grid)
-    return VectorField(u.grid, u.grid.irfft(bb.rhs_hat(u.grid.rfft(u.data))))
+    return VectorField.from_hat(u.grid, bb.rhs_hat(u.hat))
 
 
 def _rk(f, y: np.ndarray, dt: float, method: str = "rk4") -> np.ndarray:
@@ -133,13 +132,12 @@ def step(state: EulerState, cfg: StepperConfig,
     if bb is None:
         bb = BAssembly(grid, cutoff=cfg.cutoff)
     _check_assembly(bb, cfg.cutoff, state.u)
-    u_hat = grid.rfft(state.u.data) if state.u_hat is None else state.u_hat
-    u_next = _rk(lambda c, y: bb.rhs_hat(y), u_hat, cfg.dt, cfg.method)
+    u_next = _rk(lambda c, y: bb.rhs_hat(y), state.u.hat, cfg.dt, cfg.method)
     try:
-        u = VectorField(grid, grid.irfft(u_next))
+        u = VectorField.from_hat(grid, u_next)
     except ValueError as exc:  # non-finite samples rejected by field ctor
         raise BlowUpError(f"non-finite state at t = {state.t + cfg.dt}") from exc
-    return EulerState(state.t + cfg.dt, u, u_next)
+    return EulerState(state.t + cfg.dt, u)
 
 
 def _monitors(grid: Grid, s: float):
@@ -174,8 +172,8 @@ def solve(u0: VectorField, T: float, cfg: StepperConfig | None = None) -> Trajec
 
     The step count is round(T / dt); T must be an integer multiple of dt
     up to round-off, so stored states land exactly on the sample times.
-    Stored states hold samples only; the half spectrum is carried from
-    step to step.
+    Stored states after t = 0 hold samples only; the stepped field, which
+    keeps its half spectrum, is carried from step to step.
     """
     if cfg is None:
         cfg = StepperConfig()
@@ -183,7 +181,7 @@ def solve(u0: VectorField, T: float, cfg: StepperConfig | None = None) -> Trajec
 
     bb = BAssembly(u0.grid, cutoff=cfg.cutoff)
     measure = _monitors(u0.grid, cfg.s_monitor)
-    e0, norm0, drift0 = measure(u0.grid.rfft(u0.data))
+    e0, norm0, drift0 = measure(u0.hat)
     norm0 = max(norm0, 1e-300)
     states = [EulerState(0.0, u0)]
     energies = [e0]
@@ -192,15 +190,14 @@ def solve(u0: VectorField, T: float, cfg: StepperConfig | None = None) -> Trajec
 
     state = states[0]
     for i in range(n_steps):
-        state = step(state, cfg, bb)
         # keep stored times exact multiples of dt (no accumulation error)
-        state = EulerState((i + 1) * cfg.dt, state.u, state.u_hat)
-        e, nrm, drift = measure(state.u_hat)
+        state = EulerState((i + 1) * cfg.dt, step(state, cfg, bb).u)
+        e, nrm, drift = measure(state.u.hat)
         if not np.isfinite(nrm) or nrm > _NORM_GROWTH_LIMIT * norm0:
             raise BlowUpError(
                 f"H^{cfg.s_monitor} norm grew to {nrm:.3e} at t = {state.t}"
             )
-        states.append(EulerState(state.t, state.u))
+        states.append(EulerState(state.t, VectorField(u0.grid, state.u.data)))
         energies.append(e)
         norms.append(nrm)
         drifts.append(drift)
@@ -218,14 +215,14 @@ def div_evolution_residual(u: VectorField, cutoff: float = 1.0) -> ScalarField:
     a factor of div u.  Products are dealiased by the 2/3 rule.
     """
     grid = u.grid
-    d_hat = np.sum(grid.deriv * grid.rfft(u.data), axis=0)
+    d_hat = np.sum(grid.deriv * u.hat, axis=0)
     d = grid.irfft(d_hat)
     grad_d = grid.irfft(grid.deriv * d_hat)
     keep = grid.dealias_mask
     adv = keep * grid.rfft(np.sum(u.data * grad_d, axis=0))
     sq = keep * grid.rfft(d * d)
     low = chi_symbol(grid, cutoff)
-    return ScalarField(grid, grid.irfft(low * (2.0 * adv + sq) - adv))
+    return ScalarField.from_hat(grid, low * (2.0 * adv + sq) - adv)
 
 
 def energy(u: VectorField) -> float:

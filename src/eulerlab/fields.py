@@ -36,20 +36,16 @@ _SKEW_TOL = 1e-8
 
 
 def gradient(f: ScalarField) -> VectorField:
-    grid = f.grid
-    return VectorField(grid, grid.irfft(grid.deriv * grid.rfft(f.data)))
+    return VectorField.from_hat(f.grid, f.grid.deriv * f.hat)
 
 
 def divergence(u: VectorField) -> ScalarField:
-    grid = u.grid
-    div_hat = np.sum(grid.deriv * grid.rfft(u.data), axis=0)
-    return ScalarField(grid, grid.irfft(div_hat))
+    return ScalarField.from_hat(u.grid, np.sum(u.grid.deriv * u.hat, axis=0))
 
 
 def jacobian(u: VectorField) -> MatrixField:
     """Entry (i, j) = d u_i / d x_j, computed spectrally."""
-    grid = u.grid
-    return MatrixField(grid, grid.irfft(grid.rfft(u.data)[:, None] * grid.deriv))
+    return MatrixField.from_hat(u.grid, u.hat[:, None] * u.grid.deriv)
 
 
 def advect(u: VectorField, w: VectorField | None = None) -> VectorField:
@@ -59,7 +55,7 @@ def advect(u: VectorField, w: VectorField | None = None) -> VectorField:
     grid = _check_same_grid(u, w)
     du = jacobian(w).data
     prod = sum(du[:, k] * u.data[k] for k in range(grid.dim))
-    return VectorField(grid, grid.irfft(grid.dealias_mask * grid.rfft(prod)))
+    return VectorField.from_hat(grid, grid.dealias_mask * grid.rfft(prod))
 
 
 def leray_project(u: VectorField) -> VectorField:

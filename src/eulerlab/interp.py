@@ -2,9 +2,10 @@
 
 Two families:
 
-- B-spline (order 3 or 5): one ``Grid.rfft`` per component gives its
-  unpaired-Nyquist power share (the warning) and, divided by the B-spline
-  symbols, its coefficients; ``scipy.ndimage.map_coordinates`` evaluates
+- B-spline (order 3 or 5): a copy of the half spectrum the field holds,
+  else one ``Grid.rfft`` per component, gives its unpaired-Nyquist power
+  share (the warning) and, divided by the B-spline symbols, its
+  coefficients; ``scipy.ndimage.map_coordinates`` evaluates
   the compact-support kernel per query point, ``grid-wrap`` wrapped.
   O(1) per point after the prefilter; accuracy O(h^{order+1}).
 - Exact trigonometric evaluation (``order="fourier"``): sums the Fourier
@@ -51,8 +52,9 @@ class Interpolant:
 
     ``points`` has shape (dim, ...) in physical coordinates; the result
     has the field's component axes followed by the point shape.  Splines
-    prefilter on each component's half spectrum and warn when unpaired
-    Nyquist modes carry > _NYQUIST_WARN of its Hermitian-weighted power.
+    prefilter on each component's half spectrum (a copy of the one the
+    field holds, else a transform not cached on the field) and warn when
+    unpaired Nyquist modes carry > _NYQUIST_WARN of its power.
     An identically zero component gets no transform and evaluates to 0.0.
     """
 
@@ -71,11 +73,13 @@ class Interpolant:
         else:
             self._coeffs = []
             total = nyq = 0.0
-            for c in field.data.reshape((-1,) + grid.shape):
+            held = field._hat
+            for i, c in enumerate(field.data.reshape((-1,) + grid.shape)):
                 if not c.any():
                     self._coeffs.append(None)
                     continue
-                hat = grid.rfft(c)
+                hat = (grid.rfft(c) if held is None else
+                       held.reshape((-1,) + grid.xi_sq.shape)[i].copy())
                 power = grid.weight * (hat.real ** 2 + hat.imag ** 2)
                 total += power.sum()
                 nyq += power.sum(where=grid.nyquist_mask)

@@ -187,9 +187,10 @@ def invert(phi: Diffeo, order=DEFAULT_ORDER, tol: float = 1e-10,
 
 
 def det_jacobian(phi: Diffeo) -> ScalarField:
-    """Pointwise det(d phi) = det(I + dg) with spectral derivatives."""
+    """Pointwise det(d phi) = det(I + dg) with spectral derivatives; phi
+    gains no cached spectrum, so a trajectory's maps keep samples only."""
     grid = phi.grid
-    dg = jacobian(phi.displacement).data
+    dg = jacobian(VectorField(grid, phi.displacement.data)).data
     mats = np.moveaxis(dg, (0, 1), (-2, -1)) + np.eye(grid.dim)
     return ScalarField(grid, np.linalg.det(mats))
 

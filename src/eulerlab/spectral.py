@@ -78,6 +78,11 @@ class Grid:
                                                   / np.finfo(float).max):
             raise ValueError(f"length {self.length} is too small: the "
                              f"wavenumbers of {self.n} points overflow")
+        # the smallest nonzero |xi|^2, (2 pi / L)^2, must stay a normal
+        # float, or every derivative vanishes
+        if (2.0 * np.pi / self.length) ** 2 < np.finfo(float).tiny:
+            raise ValueError(f"length {self.length} is too large: the "
+                             f"wavenumbers of {self.n} points underflow")
 
         # Half lattice: every axis but the last carries the modes
         # -n/2..n/2-1 (fftfreq order), the last one 0..n/2.  The dropped
@@ -186,7 +191,8 @@ def _check_same_grid(*objs) -> Grid:
 
 
 class _Field:
-    """Samples of a (possibly tensor-valued) field with a lazy spectral cache."""
+    """Samples of a (possibly tensor-valued) field and its read-only half
+    spectrum: the one ``from_hat`` built it from, else computed on first use."""
 
     _comp_axes: int = 0
 
@@ -206,14 +212,16 @@ class _Field:
     def hat(self) -> np.ndarray:
         if self._hat is None:
             self._hat = self.grid.rfft(self.data)
+            self._hat.flags.writeable = False
         return self._hat
 
     @classmethod
     def from_hat(cls, grid: Grid, hat: np.ndarray):
-        hat = np.asarray(hat, dtype=np.complex128)
+        hat = np.asarray(hat, dtype=np.complex128).view()  # the caller's array stays writable
         expected = (grid.dim,) * cls._comp_axes + grid.xi_sq.shape
         if hat.shape != expected:
             raise ValueError(f"{cls.__name__} spectrum shape {hat.shape} != {expected}")
+        hat.flags.writeable = False
         return cls(grid, grid.irfft(hat), hat=hat)
 
     # basic vector-space arithmetic (kept minimal; heavy lifting is in ops)
@@ -310,10 +318,16 @@ def dealias(f: _Field):
 
 
 def _sobolev_weight(grid: Grid, s: float) -> np.ndarray:
-    """(1+|xi|^2)^s times the Hermitian weight of each half-lattice mode."""
+    """(1+|xi|^2)^s times the Hermitian weight of each half-lattice mode;
+    ValueError when a weight is not a finite float."""
     if not np.isfinite(s):
         raise ValueError("s must be finite")
-    return grid.weight * (1.0 + grid.xi_sq) ** s
+    with np.errstate(over="ignore"):
+        w = grid.weight * (1.0 + grid.xi_sq) ** s
+    if not np.all(np.isfinite(w)):
+        raise ValueError(f"H^{s} weights overflow on {grid.n} points of a box "
+                         f"of length {grid.length}")
+    return w
 
 
 def sobolev_norm(f: _Field, s: float) -> float:

@@ -71,6 +71,26 @@ class FullLattice:
 
 
 @pytest.fixture
+def planes(monkeypatch):
+    """Transform planes made while the test runs, counted by patching
+    ``Grid``: forward ones through ``rfft``, inverse ones through
+    ``_irfft_consuming``, which every inverse transform runs through."""
+    count = {"rfft": 0, "irfft": 0}
+
+    def counted(name, attr, plane):
+        orig = getattr(Grid, attr)
+
+        def wrapper(self, arr, *args, **kwargs):
+            count[name] += np.size(arr) // plane(self)
+            return orig(self, arr, *args, **kwargs)
+        monkeypatch.setattr(Grid, attr, wrapper)
+
+    counted("rfft", "rfft", lambda g: g.size)
+    counted("irfft", "_irfft_consuming", lambda g: g.xi_sq.size)
+    return count
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(1234)
 

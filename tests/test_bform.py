@@ -159,7 +159,9 @@ def test_b_result_survives_later_calls(grid3d, rng):
     bb = BAssembly(grid3d)
     u, v = _white_noise(grid3d, rng), _white_noise(grid3d, rng)
     first = bb.b(u)
-    kept = first.data.copy()
+    kept, kept_hat = first.data.copy(), first.hat.copy()
     bb.grad_b(v)
+    bb.b(v)
     assert np.array_equal(first.data, kept)
+    assert np.array_equal(first.hat, kept_hat)
     assert np.array_equal(bb.b(u).data, kept)

@@ -1,12 +1,18 @@
 """Command-line interface: subcommands, config handling, exit codes,
 determinism of outputs."""
 
+import contextlib
+import io
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eulerlab import VectorField, cli
 from eulerlab.cli import (
     EXIT_CONFIG,
+    EXIT_FAIL,
     EXIT_NUMERIC,
     EXIT_OK,
     ConfigError,
@@ -206,6 +212,40 @@ class TestExitCodes:
         assert "config error" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args,names", [
+        (["--s", "400"], "H^400.0 weights overflow on 8 points of a box of "
+                         "length 6.28"),
+        (["--L", "1e-100"], "H^3.0 weights overflow on 8 points of a box of "
+                            "length 1e-100"),
+    ])
+    def test_overflowing_sobolev_weight_is_2(self, args, names, tmp_path,
+                                             capsys):
+        # (1 + |xi|^2)^s beyond the float range: the monitor weight (--s)
+        # or the initial field's H^3 normalisation (--L) says so before
+        # --out is made
+        out = tmp_path / "o"
+        assert run(["simulate", "--N", "8", "--T", "0.01", "--dt", "0.01",
+                    "--out", out] + args) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: {names}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_geodesic_run_ignores_sobolev_index(self, tmp_path):
+        assert run(["simulate", "--dynamics", "geodesic", "--N", "8", "--s",
+                    "400", "--T", "0.01", "--dt", "0.01",
+                    "--out", tmp_path / "o"]) == EXIT_OK
+
+    @pytest.mark.parametrize("length", ["1e160", "1e200"])
+    def test_underflowing_box_length_is_2(self, length, tmp_path, capsys):
+        # (2 pi / L)^2 below the smallest normal float: every derivative
+        # would vanish (1e200) or the Leray projection overflow (1e160)
+        out = tmp_path / "o"
+        assert run(["simulate", "--N", "8", "--L", length, "--T", "0.01",
+                    "--dt", "0.01", "--out", out]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error" in err and "underflow" in err
+        assert not out.exists()
+
     def test_unwritable_out_is_2(self, tmp_path, capsys):
         afile = tmp_path / "afile"
         afile.write_text("")
@@ -231,6 +271,31 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "config error" in err and "Traceback" not in err
+
+
+# --L and --s: the edge values, then signed log-uniform magnitudes; the
+# "--L=" form keeps argparse from reading "-1e300" as a flag
+_EDGES = [0.0, -1.0, 400.0, -400.0, 1e300, -1e300, 1e-300, 1e-150, 1e-10,
+          1e160, 1e200]
+_edge_or_log_uniform = st.sampled_from(_EDGES) | st.builds(
+    lambda sign, e: sign * 10.0 ** e, st.sampled_from([1.0, -1.0]),
+    st.floats(-300.0, 300.0))
+
+
+class TestExitCodeContract:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(dynamics=st.sampled_from(["eulerian", "geodesic"]),
+           length=_edge_or_log_uniform, s=_edge_or_log_uniform)
+    def test_simulate_length_and_index(self, tmp_path_factory, dynamics,
+                                       length, s):
+        out = tmp_path_factory.mktemp("contract") / "o"
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = run(["simulate", "--dynamics", dynamics, "--N", "8",
+                        "--T", "0.01", "--dt", "0.01", f"--L={length!r}",
+                        f"--s={s!r}", "--out", out])
+        assert code in (EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_NUMERIC)
+        assert code != EXIT_CONFIG or not out.exists()
 
 
 class TestSimulate:

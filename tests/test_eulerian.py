@@ -201,28 +201,32 @@ def test_monitors_match_field_norms(grid32, rng):
             sobolev_norm(divergence(st.u), 1.5), rel=1e-12)
 
 
-def test_rhs_hat_transform_count(grid32, rng, monkeypatch):
+def test_rhs_hat_transform_count(grid32, rng, planes):
     # 2D: u and du inverse (2 + 4 planes); the 3 B1 products, the B2
     # trace and the 2 advection components forward (6 planes)
-    planes = {"rfft": 0, "irfft": 0}
-    half = grid32.xi_sq.size
-
-    def counted(name, per_plane, attr):
-        orig = getattr(Grid, attr)
-
-        def wrapper(self, arr, *args, **kwargs):
-            planes[name] += np.size(arr) // per_plane
-            return orig(self, arr, *args, **kwargs)
-        monkeypatch.setattr(Grid, attr, wrapper)
-
-    counted("rfft", grid32.size, "rfft")
-    # every inverse transform, Grid.irfft's included, runs through this
-    counted("irfft", half, "_irfft_consuming")
     bb = BAssembly(grid32)
     u_hat = grid32.rfft(random_div_free(grid32, rng).data)
     planes.update(dict.fromkeys(planes, 0))
     bb.rhs_hat(u_hat)
     assert planes == {"rfft": 6, "irfft": 6}
+
+
+@pytest.mark.parametrize("n_steps", [1, 3])
+def test_solve_transforms_the_initial_field_once(grid32, rng, planes, n_steps):
+    # the monitors and the first step share the initial field's spectrum
+    # (2 planes); each later step starts from the spectrum its field keeps,
+    # so an RK4 step costs its 4 rhs_hat calls of 6 forward planes only
+    u0 = random_div_free(grid32, rng)
+    assert u0._hat is None
+    planes.update(dict.fromkeys(planes, 0))
+    solve(u0, n_steps * 0.01, StepperConfig(dt=0.01))
+    assert planes["rfft"] == 24 * n_steps + 2
+
+
+def test_stored_states_keep_samples_only(grid32, rng):
+    # a stored spectrum would about double each state's memory
+    traj = solve(random_div_free(grid32, rng), 0.03, StepperConfig(dt=0.01))
+    assert all(st.u._hat is None for st in traj.states[1:])
 
 
 def _white_noise_hat(grid, rng):

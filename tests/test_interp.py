@@ -13,6 +13,8 @@ from eulerlab import (
     random_div_free,
     random_scalar,
 )
+from eulerlab.bform import BAssembly
+from eulerlab.fields import jacobian
 from eulerlab.interp import _FOURIER_BLOCK, _NYQUIST_WARN, Interpolant, sample
 
 from conftest import FullLattice
@@ -136,6 +138,30 @@ class TestPrefilter:
             (coeffs,) = Interpolant(ScalarField(grid, data), order=order)._coeffs
         ref = ndimage.spline_filter(data, order=order, mode="grid-wrap")
         assert np.linalg.norm(coeffs - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+class TestHeldSpectrum:
+    """A field built from its spectrum is prefiltered from a copy of it."""
+
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_no_forward_transform_and_samples_path_agrees(self, grid32, rng,
+                                                           planes, order):
+        u = random_div_free(grid32, rng)
+        points = rng.uniform(0.0, TAU, (2, 50))
+        for f in (BAssembly(grid32).grad_b(u), jacobian(u * 0.1)):
+            planes.update(dict.fromkeys(planes, 0))
+            got = Interpolant(f, order=order).at(points)
+            assert planes["rfft"] == 0
+            ref = Interpolant(type(f)(grid32, f.data), order=order).at(points)
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_samples_only_field_gets_no_spectrum(self, grid32, rng, planes):
+        # one transform per component, none kept on the field
+        u = random_div_free(grid32, rng)
+        planes.update(dict.fromkeys(planes, 0))
+        Interpolant(u)
+        assert planes["rfft"] == 2
+        assert u._hat is None
 
 
 class TestNyquistWarning:

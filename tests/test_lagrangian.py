@@ -280,6 +280,9 @@ class TestGeodesic:
         d = det_jacobian(traj.final.phi)
         # resolution-limited at n = 32 (independent of dt and spline order)
         assert np.max(np.abs(d.data - 1.0)) < 5e-6
+        # the per-step orientation check and this one leave the stored
+        # maps with samples only
+        assert all(st.phi.displacement._hat is None for st in traj.states)
 
     def test_matches_eulerian_velocity(self, grid32, rng):
         u0 = random_div_free(grid32, rng, norm_value=0.4)

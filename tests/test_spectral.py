@@ -48,6 +48,18 @@ class TestGrid:
                 Grid(dim=dim, n=8, length=1e-300)
             assert np.all(np.isfinite(Grid(dim=dim, n=8, length=1e-150).xi_sq))
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_rejects_length_whose_wavenumbers_underflow(self, dim):
+        # (2 pi / L)^2 is subnormal at L = 1e160 and 0.0 at 1e200, where
+        # every derivative would vanish; at 1e150 it is a normal float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for length in (1e160, 1e200):
+                with pytest.raises(ValueError, match="underflow"):
+                    Grid(dim=dim, n=8, length=length)
+            xi_sq = Grid(dim=dim, n=8, length=1e150).xi_sq
+            assert np.all(xi_sq.flat[1:] >= np.finfo(float).tiny)
+
     def test_fft_roundtrip(self, grid16, rng):
         data = rng.standard_normal(grid16.shape)
         back = grid16.irfft(grid16.rfft(data))
@@ -151,6 +163,19 @@ class TestSobolevNorm:
         with pytest.raises(ValueError, match="s must be finite"):
             sobolev_inner(f, f, s)
 
+    def test_overflowing_weight_rejected(self, grid16, rng):
+        # (1 + |xi|^2)^400 is inf on 16 points of a 2 pi box; said at once,
+        # without a RuntimeWarning, naming s, n and L
+        f = random_scalar(grid16, rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for norm in (lambda: sobolev_norm(f, 400.0),
+                         lambda: sobolev_inner(f, f, 400.0)):
+                with pytest.raises(ValueError,
+                                   match=r"H\^400.0 .* 16 points .* 6.28"):
+                    norm()
+            assert np.isfinite(sobolev_norm(f, 100.0))
+
     def test_monotone_in_s(self, grid16, rng):
         f = random_scalar(grid16, rng)
         norms = [sobolev_norm(f, s) for s in (0.0, 1.0, 2.0, 3.0)]
@@ -212,6 +237,16 @@ class TestFieldAlgebra:
     def test_full_lattice_spectrum_rejected(self, grid16):
         with pytest.raises(ValueError, match="spectrum shape"):
             ScalarField.from_hat(grid16, np.zeros(grid16.shape, dtype=complex))
+
+    def test_spectrum_is_read_only(self, grid16, rng):
+        # neither the spectrum a field was built from nor one computed
+        # from its samples can be written; the caller's array stays writable
+        hat = grid16.rfft(rng.standard_normal(grid16.shape))
+        built = ScalarField.from_hat(grid16, hat)
+        for f in (built, ScalarField(grid16, built.data)):
+            with pytest.raises(ValueError, match="read-only"):
+                f.hat[0, 0] = 1.0
+        assert hat.flags.writeable
 
     def test_truncate_removes_high_modes(self, grid16, rng):
         f = random_scalar(grid16, rng)
