@@ -47,8 +47,9 @@ class BAssembly:
     ``rhs_hat`` and every B method share one pass in buffers the assembly
     owns, allocated on its first call: one inverse transform for all planes
     of (u, du), the products, trace and advection written into one real
-    stack, and one forward transform for all of them.  Those buffers make
-    an assembly unsafe to share between threads, for any of its methods.
+    stack, and one forward transform for all of them; the B methods skip
+    the advection.  Those buffers make an assembly unsafe to share between
+    threads, for any of its methods.
     """
 
     grid: Grid
@@ -87,10 +88,11 @@ class BAssembly:
                 np.empty((factors,) + g.shape),
                 np.empty((m + 1 + g.dim,) + g.shape))
 
-    def _spectra(self, u_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Half spectra of B(u) and of the advection (u . grad) u from that
-        of u, the latter not yet dealiased: views of the workspace, valid
-        until the next call; ``u_hat`` is left untouched."""
+    def _spectra(self, u_hat: np.ndarray, advection: bool = True):
+        """Half spectra of B(u) and, unless ``advection`` is false (then
+        None), of the advection (u . grad) u from that of u, the latter not
+        yet dealiased: views of the workspace, valid until the next call;
+        ``u_hat`` is left untouched."""
         g, d, m = self.grid, self.grid.dim, len(self._pairs)
         spec, samples, planes = self._workspace
         np.copyto(spec[:d], u_hat)
@@ -104,15 +106,18 @@ class BAssembly:
         for p, (i, k) in enumerate(self._pairs):
             np.multiply(u[i], u[k], out=planes[p])
         np.einsum("ik...,ki...->...", du, du, out=planes[m])
-        np.multiply(du, u, out=du)
-        np.sum(du, axis=1, out=planes[m + 1:])
-        spec = g.rfft(planes, out=spec[:m + 1 + d])
+        n = m + 1
+        if advection:
+            np.multiply(du, u, out=du)
+            np.sum(du, axis=1, out=planes[n:])
+            n += d
+        spec = g.rfft(planes[:n], out=spec[:n])
         # contraction with the B1 and B2 symbols, summed into spec[0]
         np.multiply(self._b1_symbol, spec[:m], out=spec[:m])
         np.multiply(self._b2_symbol, spec[m], out=spec[m])
         for p in range(1, m + 1):
             np.add(spec[0], spec[p], out=spec[0])
-        return spec[0], spec[m + 1:]
+        return spec[0], (spec[m + 1:] if advection else None)
 
     def rhs_hat(self, u_hat: np.ndarray) -> np.ndarray:
         """Half spectrum of grad B(u) - (u . grad) u from that of u; a new
@@ -128,7 +133,7 @@ class BAssembly:
         """Half spectrum of B(u): a workspace view, valid until the next
         B call."""
         _check_same_grid(u, self.grid)
-        return self._spectra(u.hat)[0]
+        return self._spectra(u.hat, advection=False)[0]
 
     # B1 and B2 have symbols on disjoint modes, so each is B on its band
 

@@ -268,21 +268,21 @@ def cmd_simulate(cfg: RunConfig) -> int:
         traj = solve(u0, cfg.T, StepperConfig(dt=cfg.dt, method=cfg.method,
                                               s_monitor=cfg.s,
                                               cutoff=cfg.cutoff))
-        rows = [(st.t, traj.energies[i], traj.norms[i], traj.div_drifts[i])
-                for i, st in enumerate(traj.states)]
+        rows = zip(traj.times, traj.energies, traj.norms, traj.div_drifts)
         write_csv(out / "trajectory.csv",
                   ["t", "energy", f"H{cfg.s}_norm", "div_drift"],
                   rows, cfg.hash())
         save_snapshot(out / "final_u.egl", traj.final.u)
-        print(f"simulate eulerian: {len(traj.states) - 1} steps to T={cfg.T}")
+        print(f"simulate eulerian: {len(traj.times) - 1} steps to T={cfg.T}")
         print(f"  final H^{cfg.s} norm {traj.norms[-1]:.6e}")
         print(f"  max divergence drift {traj.div_drifts.max():.3e}"
               + ("  (budget exceeded)" if traj.drift_budget_exceeded else ""))
         print(f"  energy drift {abs(traj.energies[-1] - traj.energies[0]):.3e}")
         return EXIT_FAIL if traj.drift_budget_exceeded else EXIT_OK
 
-    traj = geodesic_solve(u0, cfg.T, GeodesicConfig(dt=cfg.dt,
-                                                    cutoff=cfg.cutoff))
+    # every map's det defect goes into the CSV
+    traj = geodesic_solve(u0, cfg.T, GeodesicConfig(dt=cfg.dt, cutoff=cfg.cutoff),
+                          keep="all")
     rows = [(st.t, traj.speeds[i],
              float(np.max(np.abs(det_jacobian(st.phi).data - 1.0))))
             for i, st in enumerate(traj.states)]

@@ -68,9 +68,12 @@ class StepperConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Solver output: states at t = 0, dt, ..., T plus per-step diagnostics."""
+    """Solver output: the kept states (t = 0 and T, or every step when
+    solved with ``keep="all"``) and, per step at t = 0, dt, ..., T, the
+    times and diagnostics."""
 
     states: tuple[EulerState, ...]
+    times: np.ndarray
     energies: np.ndarray
     norms: np.ndarray
     div_drifts: np.ndarray
@@ -80,18 +83,20 @@ class Trajectory:
         return bool(np.any(self.div_drifts > _DRIFT_BUDGET * self.norms[0]))
 
     @property
-    def times(self) -> np.ndarray:
-        return np.array([s.t for s in self.states])
-
-    @property
     def final(self) -> EulerState:
         return self.states[-1]
 
     def sample(self, t: float) -> EulerState:
-        idx = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.states[idx].t - t) > _SAMPLE_TOL:
-            raise KeyError(f"no stored state at t = {t}")
-        return self.states[idx]
+        """The kept state at time t; a KeyError names ``keep="all"`` when
+        t is a step time whose state was not kept."""
+        kept = np.array([s.t for s in self.states])
+        idx = int(np.argmin(np.abs(kept - t)))
+        if abs(kept[idx] - t) <= _SAMPLE_TOL:
+            return self.states[idx]
+        if np.min(np.abs(self.times - t)) <= _SAMPLE_TOL:
+            raise KeyError(f"the state at t = {t} was not kept; "
+                           f'solve with keep="all"')
+        raise KeyError(f"no stored state at t = {t}")
 
 
 def rhs(u: VectorField, bb: BAssembly | None = None) -> VectorField:
@@ -104,14 +109,17 @@ def rhs(u: VectorField, bb: BAssembly | None = None) -> VectorField:
 
 def _rk(f, y: np.ndarray, dt: float, method: str = "rk4") -> np.ndarray:
     """One step of dy/dt = f(c, y), c the stage's fraction of the step:
-    classical RK4 (c = 0, 1/2, 1/2, 1) or the midpoint rule "rk2"."""
-    if method == "rk2":
-        return y + dt * f(0.5, y + 0.5 * dt * f(0.0, y))
-    k1 = f(0.0, y)
-    k2 = f(0.5, y + 0.5 * dt * k1)
-    k3 = f(0.5, y + 0.5 * dt * k2)
-    k4 = f(1.0, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    classical RK4 (c = 0, 1/2, 1/2, 1) or the midpoint rule "rk2".  A
+    stage that overflows the float range gives non-finite values without
+    a warning; every integrator rejects those as a blow-up."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method == "rk2":
+            return y + dt * f(0.5, y + 0.5 * dt * f(0.0, y))
+        k1 = f(0.0, y)
+        k2 = f(0.5, y + 0.5 * dt * k1)
+        k3 = f(0.5, y + 0.5 * dt * k2)
+        k4 = f(1.0, y + dt * k3)
+        return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _check_assembly(bb: BAssembly, cutoff: float, *fields) -> None:
@@ -148,33 +156,48 @@ def _monitors(grid: Grid, s: float):
     w_div = _sobolev_weight(grid, s - 1.0)
 
     def measure(u_hat: np.ndarray) -> tuple[float, float, float]:
-        power = np.sum(u_hat.real ** 2 + u_hat.imag ** 2, axis=0)
-        div = np.sum(grid.deriv * u_hat, axis=0)
-        return (float(np.sum(w * power)),
-                float(np.sqrt(np.sum(w_s * power))),
-                float(np.sqrt(np.sum(w_div * (div.real ** 2 + div.imag ** 2)))))
+        # a square beyond the float range makes a norm inf, which solve
+        # reports as blow-up
+        with np.errstate(over="ignore"):
+            power = np.sum(u_hat.real ** 2 + u_hat.imag ** 2, axis=0)
+            div = np.sum(grid.deriv * u_hat, axis=0)
+            return (float(np.sum(w * power)),
+                    float(np.sqrt(np.sum(w_s * power))),
+                    float(np.sqrt(np.sum(w_div * (div.real ** 2 + div.imag ** 2)))))
 
     return measure
 
 
+def _check_keep(keep: str) -> None:
+    if keep not in ("final", "all"):
+        raise ValueError(f'keep must be "final" or "all", got {keep!r}')
+
+
 def _step_count(T: float, dt: float, name: str = "T") -> int:
-    """round(T / dt); raises ValueError unless T is a positive multiple of dt."""
+    """round(T / dt); raises ValueError unless T is a positive multiple of dt
+    and the step count is finite."""
     if not (T > 0 and np.isfinite(T)):
         raise ValueError(f"final time must be positive and finite, got {T}")
+    if not np.isfinite(T / dt):
+        raise ValueError(f"{name} / dt = {T} / {dt} overflows the step count")
     n_steps = int(round(T / dt))
     if n_steps < 1 or abs(n_steps * dt - T) > 1e-9 * max(T, 1.0):
         raise ValueError(f"{name} = {T} is not a multiple of dt = {dt}")
     return n_steps
 
 
-def solve(u0: VectorField, T: float, cfg: StepperConfig | None = None) -> Trajectory:
+def solve(u0: VectorField, T: float, cfg: StepperConfig | None = None,
+          keep: str = "final") -> Trajectory:
     """Integrate from u0 to time T, recording energy / H^s norm / div drift.
 
     The step count is round(T / dt); T must be an integer multiple of dt
     up to round-off, so stored states land exactly on the sample times.
-    Stored states after t = 0 hold samples only; the stepped field, which
-    keeps its half spectrum, is carried from step to step.
+    ``keep="final"`` keeps the states at t = 0 (``u0`` itself) and T only,
+    ``keep="all"`` every step's; the times and monitors cover every step
+    either way.  Kept states after t = 0 hold samples only; the stepped
+    field, which keeps its half spectrum, is carried from step to step.
     """
+    _check_keep(keep)
     if cfg is None:
         cfg = StepperConfig()
     n_steps = _step_count(T, cfg.dt)
@@ -184,6 +207,7 @@ def solve(u0: VectorField, T: float, cfg: StepperConfig | None = None) -> Trajec
     e0, norm0, drift0 = measure(u0.hat)
     norm0 = max(norm0, 1e-300)
     states = [EulerState(0.0, u0)]
+    times = [0.0]
     energies = [e0]
     norms = [norm0]
     drifts = [drift0]
@@ -197,13 +221,15 @@ def solve(u0: VectorField, T: float, cfg: StepperConfig | None = None) -> Trajec
             raise BlowUpError(
                 f"H^{cfg.s_monitor} norm grew to {nrm:.3e} at t = {state.t}"
             )
-        states.append(EulerState(state.t, VectorField(u0.grid, state.u.data)))
+        if keep == "all" or i == n_steps - 1:
+            states.append(EulerState(state.t, VectorField(u0.grid, state.u.data)))
+        times.append(state.t)
         energies.append(e)
         norms.append(nrm)
         drifts.append(drift)
 
-    return Trajectory(tuple(states), np.array(energies), np.array(norms),
-                      np.array(drifts))
+    return Trajectory(tuple(states), np.array(times), np.array(energies),
+                      np.array(norms), np.array(drifts))
 
 
 def div_evolution_residual(u: VectorField, cutoff: float = 1.0) -> ScalarField:

@@ -25,6 +25,7 @@ from .eulerian import (
     EulerState,
     Trajectory,
     _check_assembly,
+    _check_keep,
     _rk,
     _step_count,
 )
@@ -221,8 +222,13 @@ class GeodesicConfig:
 
 @dataclass(frozen=True)
 class GeodesicTrajectory:
+    """The kept states (t = 0 and T, or every step when solved with
+    ``keep="all"``) and, per step at t = 0, dt, ..., T, the times and
+    the L^2 speeds ||v||_0."""
+
     states: tuple[GeodesicState, ...]
-    speeds: np.ndarray  # L^2 norm of v per state
+    times: np.ndarray
+    speeds: np.ndarray
 
     @property
     def final(self) -> GeodesicState:
@@ -277,9 +283,15 @@ def geodesic_step(state: GeodesicState, cfg: GeodesicConfig | None = None,
     return new_state
 
 
-def geodesic_solve(u0: VectorField, T: float,
-                   cfg: GeodesicConfig | None = None) -> GeodesicTrajectory:
-    """Integrate the geodesic system from (id, u0) up to time T."""
+def geodesic_solve(u0: VectorField, T: float, cfg: GeodesicConfig | None = None,
+                   keep: str = "final") -> GeodesicTrajectory:
+    """Integrate the geodesic system from (id, u0) up to time T.
+
+    ``keep="final"`` keeps the states at t = 0 ((id, u0) itself) and T
+    only, ``keep="all"`` every step's; the times and speeds cover every
+    step either way.
+    """
+    _check_keep(keep)
     if cfg is None:
         cfg = GeodesicConfig()
     n_steps = _step_count(T, cfg.dt)
@@ -287,14 +299,18 @@ def geodesic_solve(u0: VectorField, T: float,
 
     state = GeodesicState(0.0, identity(u0.grid), u0)
     states = [state]
+    times = [0.0]
     speeds = [sobolev_norm(u0, 0.0)]
     guess: VectorField | None = None
     for i in range(n_steps):
         state, guess = _geodesic_step(state, bb, cfg, guess)
         state = GeodesicState((i + 1) * cfg.dt, state.phi, state.v)
-        states.append(state)
-        speeds.append(sobolev_norm(state.v, 0.0))
-    return GeodesicTrajectory(tuple(states), np.array(speeds))
+        if keep == "all" or i == n_steps - 1:
+            states.append(state)
+        times.append(state.t)
+        # the norm of a samples-only copy: a kept v caches no spectrum
+        speeds.append(sobolev_norm(VectorField(u0.grid, state.v.data), 0.0))
+    return GeodesicTrajectory(tuple(states), np.array(times), np.array(speeds))
 
 
 def exp_map(u0: VectorField, t: float, cfg: GeodesicConfig | None = None) -> Diffeo:
@@ -318,11 +334,14 @@ def flow_of(traj: Trajectory, order=DEFAULT_ORDER) -> list[tuple[float, Diffeo]]
     Integrates with RK4 using a flow step of two solver steps so every
     Runge-Kutta stage lands on a stored state (no interpolation in time).
     Returns (t, phi(t)) at t = 0, 2 dt, 4 dt, ...; the trajectory must
-    contain an even number of steps.
+    contain an even number of steps, each with its state kept
+    (``solve(..., keep="all")``), else ValueError.
     """
-    n = len(traj.states) - 1
+    n = len(traj.times) - 1
     if n % 2 != 0:
         raise ValueError("flow_of needs an even number of solver steps")
+    if len(traj.states) != n + 1:
+        raise ValueError('flow_of needs every state: solve with keep="all"')
     grid = traj.states[0].u.grid
     h = 2.0 * (traj.states[1].t - traj.states[0].t)
 
@@ -342,7 +361,8 @@ def flow_of(traj: Trajectory, order=DEFAULT_ORDER) -> list[tuple[float, Diffeo]]
 
 def eulerian_from_lagrangian(traj: GeodesicTrajectory,
                              order=DEFAULT_ORDER) -> list[EulerState]:
-    """Recover u(t) = v(t) o phi(t)^{-1} along a geodesic trajectory."""
+    """Recover u(t) = v(t) o phi(t)^{-1} at the kept states of a geodesic
+    trajectory (t = 0 and T unless it was solved with ``keep="all"``)."""
     out = []
     guess: VectorField | None = None
     for st in traj.states:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,19 @@ class FullLattice:
         b_hat += np.where(low, 0.0, -1.0 / safe) * fft(trace)
         b = ifft(b_hat)
         return np.stack([ifft(self.deriv(fft(b), j)) for j in range(dim)])
+
+
+class TracedPeak:
+    """``with TracedPeak() as traced:`` traces the block's allocations with
+    tracemalloc; ``traced.peak`` is then their peak in bytes."""
+
+    def __enter__(self):
+        tracemalloc.start()
+        return self
+
+    def __exit__(self, *exc):
+        self.peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -1,7 +1,5 @@
 """The quadratic form B = B1 + B2 replacing the pressure gradient."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -19,7 +17,7 @@ from eulerlab import (
 )
 from eulerlab.spectral import VectorField
 
-from conftest import FullLattice
+from conftest import FullLattice, TracedPeak
 
 TAU = 2.0 * np.pi
 
@@ -135,6 +133,18 @@ def test_grad_b_matches_full_spectrum_reference(dim, n, cutoff, rng):
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+@pytest.mark.parametrize("dim,n,forward", [(2, 16, 4), (3, 8, 7)])
+def test_grad_b_skips_the_advection(dim, n, forward, rng, planes):
+    # from a held spectrum: the d + d^2 planes of (u, du) inverse, the
+    # m products and the trace forward, and grad B inverse; the d
+    # advection planes rhs_hat needs are neither formed nor transformed
+    grid = Grid(dim=dim, n=n, length=TAU)
+    u = VectorField.from_hat(grid, grid.rfft(_white_noise(grid, rng).data))
+    planes.update(dict.fromkeys(planes, 0))
+    BAssembly(grid).grad_b(u)
+    assert planes == {"rfft": forward, "irfft": dim + dim * dim + dim}
+
+
 @pytest.mark.parametrize("dim,n", [(2, 128), (3, 32)])
 @pytest.mark.parametrize("method,factor", [("b", 8), ("b1", 8), ("b2", 8),
                                            ("grad_b", 4)])
@@ -146,13 +156,9 @@ def test_b_methods_allocate_little_beyond_their_result(dim, n, method, factor,
     evaluate = getattr(BAssembly(grid), method)
     u = _white_noise(grid, rng)
     evaluate(u)
-    tracemalloc.start()
-    try:
+    with TracedPeak() as traced:
         result = evaluate(u)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= factor * result.data.nbytes
+    assert traced.peak <= factor * result.data.nbytes
 
 
 def test_b_result_survives_later_calls(grid3d, rng):

@@ -6,7 +6,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from eulerlab import VectorField, cli
@@ -230,6 +230,37 @@ class TestExitCodes:
         assert f"config error: {names}" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("dynamics", ["eulerian", "geodesic"])
+    def test_overflowing_step_count_is_2(self, dynamics, tmp_path, capsys):
+        # T / dt = 1e600 is inf in floating point: no step count, and no
+        # OverflowError traceback from rounding it
+        out = tmp_path / "o"
+        assert run(["simulate", "--dynamics", dynamics, "--N", "8",
+                    "--T", "1e300", "--dt", "1e-300",
+                    "--out", out]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: T / dt = 1e+300 / 1e-300 overflows" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dynamics,dt,message", [
+        ("eulerian", "1e46", "non-finite state at t = 1e+46"),
+        ("eulerian", "1e13", "H^2.5 norm grew to inf"),
+        ("geodesic", "1e300", "diffeomorphism inversion did not reach"),
+    ])
+    def test_overflowing_step_is_3(self, dynamics, dt, message, tmp_path,
+                                   capsys):
+        # one step of dt overflows a Runge-Kutta stage (1e46), the power
+        # sum of a stage map's spline prefilter (1e300) or a monitor's
+        # squares (1e13): a numerical failure, with no RuntimeWarning on
+        # the way (the suite makes those errors)
+        assert run(["simulate", "--dynamics", dynamics, "--N", "8",
+                    "--T", dt, "--dt", dt,
+                    "--out", tmp_path / "o"]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert f"numerical failure: {message}" in err
+        assert "Traceback" not in err
+
     def test_geodesic_run_ignores_sobolev_index(self, tmp_path):
         assert run(["simulate", "--dynamics", "geodesic", "--N", "8", "--s",
                     "400", "--T", "0.01", "--dt", "0.01",
@@ -273,19 +304,26 @@ class TestExitCodes:
         assert "config error" in err and "Traceback" not in err
 
 
-# --L and --s: the edge values, then signed log-uniform magnitudes; the
-# "--L=" form keeps argparse from reading "-1e300" as a flag
+def _edge_or_log_uniform(edges):
+    """The edge values, then signed log-uniform magnitudes; the "--L=" form
+    keeps argparse from reading "-1e300" as a flag."""
+    return st.sampled_from(edges) | st.builds(
+        lambda sign, e: sign * 10.0 ** e, st.sampled_from([1.0, -1.0]),
+        st.floats(-300.0, 300.0))
+
+
+# --L and --s
 _EDGES = [0.0, -1.0, 400.0, -400.0, 1e300, -1e300, 1e-300, 1e-150, 1e-10,
           1e160, 1e200]
-_edge_or_log_uniform = st.sampled_from(_EDGES) | st.builds(
-    lambda sign, e: sign * 10.0 ** e, st.sampled_from([1.0, -1.0]),
-    st.floats(-300.0, 300.0))
+# --T and --dt
+_TIME_EDGES = [0.0, -1.0, np.nan, np.inf, -np.inf, 1e-300, 1e300, 0.015]
 
 
 class TestExitCodeContract:
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(dynamics=st.sampled_from(["eulerian", "geodesic"]),
-           length=_edge_or_log_uniform, s=_edge_or_log_uniform)
+           length=_edge_or_log_uniform(_EDGES),
+           s=_edge_or_log_uniform(_EDGES))
     def test_simulate_length_and_index(self, tmp_path_factory, dynamics,
                                        length, s):
         out = tmp_path_factory.mktemp("contract") / "o"
@@ -294,6 +332,25 @@ class TestExitCodeContract:
             code = run(["simulate", "--dynamics", dynamics, "--N", "8",
                         "--T", "0.01", "--dt", "0.01", f"--L={length!r}",
                         f"--s={s!r}", "--out", out])
+        assert code in (EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_NUMERIC)
+        assert code != EXIT_CONFIG or not out.exists()
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(dynamics=st.sampled_from(["eulerian", "geodesic"]),
+           T=_edge_or_log_uniform(_TIME_EDGES),
+           dt=_edge_or_log_uniform(_TIME_EDGES))
+    def test_simulate_horizon_and_step(self, tmp_path_factory, dynamics, T,
+                                       dt):
+        # a valid run of more than 8 steps is a long run, not a contract
+        # break (--T 1e10 --dt 1e-10 is 1e20 steps); an infinite step
+        # count is a config error and stays
+        valid = T > 0 and dt > 0 and np.isfinite(T) and np.isfinite(dt)
+        assume(not (valid and 8.5 < T / dt < np.inf))
+        out = tmp_path_factory.mktemp("contract") / "o"
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = run(["simulate", "--dynamics", dynamics, "--N", "8",
+                        f"--T={T!r}", f"--dt={dt!r}", "--out", out])
         assert code in (EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_NUMERIC)
         assert code != EXIT_CONFIG or not out.exists()
 

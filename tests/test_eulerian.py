@@ -1,7 +1,5 @@
 """Time integration of the velocity equation d_t u = grad B(u) - (u.grad)u."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -25,7 +23,7 @@ from eulerlab import (
 from eulerlab import eulerian
 from eulerlab.bform import BAssembly
 
-from conftest import FullLattice
+from conftest import FullLattice, TracedPeak
 
 
 def test_rhs_divergence_free_input_gives_projected_advection(grid32, rng):
@@ -39,7 +37,7 @@ def test_rhs_divergence_free_input_gives_projected_advection(grid32, rng):
 
 def test_solve_step_count_and_times(grid16, rng):
     u0 = random_div_free(grid16, rng, norm_value=0.2)
-    traj = solve(u0, 0.1, StepperConfig(dt=0.02))
+    traj = solve(u0, 0.1, StepperConfig(dt=0.02), keep="all")
     assert len(traj.states) == 6
     assert np.allclose(traj.times, [0.0, 0.02, 0.04, 0.06, 0.08, 0.1])
 
@@ -102,7 +100,7 @@ def test_drift_budget_flags_divergent_data(grid16, rng):
 
 def test_trajectory_sampling(grid16, rng):
     u0 = random_div_free(grid16, rng, norm_value=0.2)
-    traj = solve(u0, 0.1, StepperConfig(dt=0.02))
+    traj = solve(u0, 0.1, StepperConfig(dt=0.02), keep="all")
     st = traj.sample(0.04)
     assert st.t == pytest.approx(0.04)
 
@@ -158,7 +156,7 @@ def test_rhs_matches_full_spectrum_reference(dim, n, cutoff, rng):
 def test_solve_is_repeated_step(grid32, rng, method):
     u0 = random_div_free(grid32, rng, norm_value=0.5)
     cfg = StepperConfig(dt=0.01, method=method)
-    traj = solve(u0, 0.05, cfg)
+    traj = solve(u0, 0.05, cfg, keep="all")
     state = EulerState(0.0, u0)
     for stored in traj.states[1:]:
         state = step(state, cfg)
@@ -193,7 +191,7 @@ def test_monitors_match_field_norms(grid32, rng):
     # also for a field with divergence and Nyquist content
     u0 = VectorField(grid32, 0.1 * rng.standard_normal((2,) + grid32.shape))
     cfg = StepperConfig(dt=0.01, s_monitor=2.5)
-    traj = solve(u0, 0.02, cfg)
+    traj = solve(u0, 0.02, cfg, keep="all")
     for i, st in enumerate(traj.states):
         assert traj.energies[i] == pytest.approx(energy(st.u), rel=1e-12)
         assert traj.norms[i] == pytest.approx(sobolev_norm(st.u, 2.5), rel=1e-12)
@@ -225,8 +223,65 @@ def test_solve_transforms_the_initial_field_once(grid32, rng, planes, n_steps):
 
 def test_stored_states_keep_samples_only(grid32, rng):
     # a stored spectrum would about double each state's memory
-    traj = solve(random_div_free(grid32, rng), 0.03, StepperConfig(dt=0.01))
+    traj = solve(random_div_free(grid32, rng), 0.03, StepperConfig(dt=0.01),
+                 keep="all")
     assert all(st.u._hat is None for st in traj.states[1:])
+
+
+def test_solve_keeps_initial_and_final_by_default(grid16, rng):
+    u0 = random_div_free(grid16, rng, norm_value=0.2)
+    traj = solve(u0, 0.1, StepperConfig(dt=0.02))
+    assert len(traj.states) == 2
+    assert traj.states[0].u is u0
+    assert traj.final.t == traj.times[-1] == pytest.approx(0.1)
+    assert len(traj.times) == len(traj.energies) == len(traj.norms) == 6
+    with pytest.raises(KeyError, match='keep="all"'):
+        traj.sample(0.04)
+    with pytest.raises(KeyError, match="no stored state"):
+        traj.sample(0.05)
+    assert traj.sample(0.1) is traj.final
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk2"])
+def test_keep_final_matches_keep_all(grid32, rng, method):
+    u0 = random_div_free(grid32, rng, norm_value=0.5)
+    cfg = StepperConfig(dt=0.01, method=method)
+    final, full = solve(u0, 0.05, cfg), solve(u0, 0.05, cfg, keep="all")
+    assert final.final.t == full.final.t
+    assert np.array_equal(final.final.u.data, full.final.u.data)
+    for name in ("times", "energies", "norms", "div_drifts"):
+        assert np.array_equal(getattr(final, name), getattr(full, name))
+
+
+@pytest.mark.parametrize("keep", ["every", "ALL", None, 2])
+def test_solve_rejects_unknown_keep(grid16, rng, keep):
+    with pytest.raises(ValueError, match="keep"):
+        solve(random_div_free(grid16, rng), 0.02, StepperConfig(dt=0.01),
+              keep=keep)
+
+
+def test_solve_memory_is_bounded_unless_all_states_are_kept(rng):
+    # 36 more steps cost less than one state's samples when only the final
+    # state is kept, and 36 states' samples when all are
+    grid = Grid(dim=2, n=64, length=2.0 * np.pi)
+    u0 = random_div_free(grid, rng, norm_value=0.2)
+    cfg = StepperConfig(dt=0.01)
+    solve(u0, 0.02, cfg)  # builds the grid's cached symbols
+    state_bytes = u0.data.nbytes
+    for keep, low, high in (("final", -np.inf, state_bytes),
+                            ("all", 30 * state_bytes, np.inf)):
+        peaks = []
+        for n_steps in (4, 40):
+            with TracedPeak() as traced:
+                solve(u0, n_steps * cfg.dt, cfg, keep=keep)
+            peaks.append(traced.peak)
+        assert low <= peaks[1] - peaks[0] < high
+
+
+def test_step_count_overflow_is_a_value_error():
+    # T / dt = inf: int(round(...)) raised OverflowError
+    with pytest.raises(ValueError, match="overflows the step count"):
+        eulerian._step_count(1e300, 1e-300)
 
 
 def _white_noise_hat(grid, rng):
@@ -270,13 +325,9 @@ def test_rhs_hat_allocates_little_beyond_its_result(dim, n, rng):
     bb = BAssembly(grid)
     u_hat = _white_noise_hat(grid, rng)
     bb.rhs_hat(u_hat)
-    tracemalloc.start()
-    try:
+    with TracedPeak() as traced:
         result = bb.rhs_hat(u_hat)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * result.nbytes
+    assert traced.peak <= 2 * result.nbytes
 
 
 def test_step_rejects_assembly_on_other_grid(grid16, grid32, rng):

@@ -41,7 +41,7 @@ from eulerlab import (
 from eulerlab import lagrangian
 from eulerlab.interp import Interpolant
 
-from conftest import FullLattice
+from conftest import FullLattice, TracedPeak
 
 TAU = 2.0 * np.pi
 
@@ -276,13 +276,17 @@ class TestGeodesic:
 
     def test_volume_preserved(self, grid32, rng):
         u0 = random_div_free(grid32, rng, norm_value=0.4)
-        traj = geodesic_solve(u0, 0.2, GeodesicConfig(dt=0.01, order=5))
+        traj = geodesic_solve(u0, 0.2, GeodesicConfig(dt=0.01, order=5),
+                              keep="all")
         d = det_jacobian(traj.final.phi)
         # resolution-limited at n = 32 (independent of dt and spline order)
         assert np.max(np.abs(d.data - 1.0)) < 5e-6
         # the per-step orientation check and this one leave the stored
         # maps with samples only
         assert all(st.phi.displacement._hat is None for st in traj.states)
+        # and so does the speed monitor the stepped velocities (the first
+        # is the caller's u0)
+        assert all(st.v._hat is None for st in traj.states[1:])
 
     def test_matches_eulerian_velocity(self, grid32, rng):
         u0 = random_div_free(grid32, rng, norm_value=0.4)
@@ -292,6 +296,43 @@ class TestGeodesic:
         u_lag = eulerian_from_lagrangian(geo)[-1].u
         rel = sobolev_norm(u_lag - eul, 2.0) / sobolev_norm(eul, 2.0)
         assert rel < 2e-3
+
+    def test_keeps_initial_and_final_by_default(self, grid16, rng):
+        u0 = random_div_free(grid16, rng, norm_value=0.2)
+        cfg = GeodesicConfig(dt=0.02)
+        final, full = geodesic_solve(u0, 0.08, cfg), geodesic_solve(
+            u0, 0.08, cfg, keep="all")
+        assert len(final.states) == 2 and len(full.states) == 5
+        assert final.states[0].v is u0
+        assert final.final.t == full.final.t
+        assert np.array_equal(final.final.phi.displacement.data,
+                              full.final.phi.displacement.data)
+        assert np.array_equal(final.final.v.data, full.final.v.data)
+        assert np.array_equal(final.times, full.times)
+        assert np.array_equal(final.speeds, full.speeds)
+        assert len(final.times) == len(final.speeds) == 5
+
+    @pytest.mark.parametrize("keep", ["every", None])
+    def test_rejects_unknown_keep(self, grid16, rng, keep):
+        with pytest.raises(ValueError, match="keep"):
+            geodesic_solve(random_div_free(grid16, rng), 0.02,
+                           GeodesicConfig(dt=0.01), keep=keep)
+
+    def test_memory_is_bounded_unless_all_states_are_kept(self, rng):
+        # as for solve: a state is the samples of phi and v
+        grid = Grid(dim=2, n=64, length=TAU)
+        u0 = random_div_free(grid, rng, norm_value=0.2)
+        cfg = GeodesicConfig(dt=0.01)
+        geodesic_solve(u0, 0.02, cfg)  # builds the cached symbols and tables
+        state_bytes = 2 * u0.data.nbytes
+        for keep, low, high in (("final", -np.inf, state_bytes),
+                                ("all", 30 * state_bytes, np.inf)):
+            peaks = []
+            for n_steps in (4, 40):
+                with TracedPeak() as traced:
+                    geodesic_solve(u0, n_steps * cfg.dt, cfg, keep=keep)
+                peaks.append(traced.peak)
+            assert low <= peaks[1] - peaks[0] < high
 
     def test_exp_map_at_zero_time_is_identity(self, grid16, rng):
         u0 = random_div_free(grid16, rng)
@@ -418,7 +459,7 @@ class TestSharedRungeKutta:
         grid = Grid(dim=dim, n=n, length=TAU)
         u0 = random_div_free(grid, rng, norm_value=0.4)
         cfg = GeodesicConfig(dt=0.02, order=order)
-        traj = geodesic_solve(u0, 0.08, cfg)
+        traj = geodesic_solve(u0, 0.08, cfg, keep="all")
         bb = BAssembly(grid, cutoff=cfg.cutoff)
         state, guess = GeodesicState(0.0, identity(grid), u0), None
         for stored in traj.states[1:]:
@@ -430,7 +471,7 @@ class TestSharedRungeKutta:
     @pytest.mark.parametrize("order", [3, 5])
     def test_flow_of_matches_hand_written(self, grid32, rng, order):
         u0 = random_div_free(grid32, rng, norm_value=0.4)
-        traj = solve(u0, 0.08, StepperConfig(dt=0.01))
+        traj = solve(u0, 0.08, StepperConfig(dt=0.01), keep="all")
         got = flow_of(traj, order=order)
         ref = _flow_of_hand_written(traj, order)
         assert [t for t, _ in got] == [st.t for st in traj.states[::2]]
@@ -441,7 +482,7 @@ class TestSharedRungeKutta:
 
     def test_flow_of_prefilters_each_state_once(self, grid32, rng, monkeypatch):
         traj = solve(random_div_free(grid32, rng, norm_value=0.4), 0.08,
-                     StepperConfig(dt=0.01))
+                     StepperConfig(dt=0.01), keep="all")
         built = []
         init = Interpolant.__init__
         monkeypatch.setattr(Interpolant, "__init__", lambda self, f, *a, **kw:
@@ -477,7 +518,7 @@ class TestFlowAndPullback:
     def test_flow_matches_exp(self, grid32, rng):
         u0 = random_div_free(grid32, rng, norm_value=0.4)
         T, dt = 0.2, 0.01
-        traj = solve(u0, T, StepperConfig(dt=dt))
+        traj = solve(u0, T, StepperConfig(dt=dt), keep="all")
         flows = flow_of(traj)
         phi_exp = exp_map(u0, T, GeodesicConfig(dt=dt))
         gap = np.max(np.abs(flows[-1][1].displacement.data
@@ -490,6 +531,12 @@ class TestFlowAndPullback:
         with pytest.raises(ValueError):
             flow_of(traj)
 
+    def test_flow_requires_every_state(self, grid16, rng):
+        u0 = random_div_free(grid16, rng, norm_value=0.1)
+        traj = solve(u0, 0.04, StepperConfig(dt=0.01))
+        with pytest.raises(ValueError, match='keep="all"'):
+            flow_of(traj)
+
     def test_vorticity_pullback_identity(self, grid32, rng):
         u = random_div_free(grid32, rng)
         om = vorticity(u)
@@ -499,7 +546,7 @@ class TestFlowAndPullback:
     def test_vorticity_transported(self, grid32, rng):
         u0 = random_div_free(grid32, rng, norm_value=0.4)
         T, dt = 0.2, 0.01
-        traj = solve(u0, T, StepperConfig(dt=dt))
+        traj = solve(u0, T, StepperConfig(dt=dt), keep="all")
         t_end, phi = flow_of(traj)[-1]
         om_t = vorticity(traj.final.u)
         pulled = vorticity_pullback(phi, om_t)

@@ -1,7 +1,5 @@
 """Binary snapshot round trips and header validation."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -19,6 +17,8 @@ from eulerlab import (
     vorticity,
 )
 from eulerlab.snapshots import _HEADER
+
+from conftest import TracedPeak
 
 TAU = 2.0 * np.pi
 
@@ -141,11 +141,7 @@ def test_rejects_invalid_grid_header(tmp_path, header):
 def test_huge_header_rejected_before_allocating(tmp_path):
     p = tmp_path / "f.egl"
     p.write_bytes(_HEADER.pack(b"EGL1", 2, 4096, TAU, 0, 1).ljust(40, b"\0"))
-    tracemalloc.start()
-    try:
+    with TracedPeak() as traced:
         with pytest.raises(SnapshotError, match="payload"):
             load_snapshot(p)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    assert traced.peak < 1 << 20
