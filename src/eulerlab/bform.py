@@ -45,11 +45,13 @@ class BAssembly:
     Everything is evaluated on half spectra (``u.hat``; B methods return
     fields that keep theirs), the 2/3-rule mask folded into the symbols.
     ``rhs_hat`` and every B method share one pass in buffers the assembly
-    owns, allocated on its first call: one inverse transform for all planes
-    of (u, du), the products, trace and advection written into one real
-    stack, and one forward transform for all of them; the B methods skip
-    the advection.  Those buffers make an assembly unsafe to share between
-    threads, for any of its methods.
+    owns, allocated on its first call: d + d^2 complex planes and one real
+    stack of d + d^2 + 1 planes (7 in 2D, 13 in 3D).  One inverse transform
+    fills the stack with the samples of (u, du); the trace, advection and
+    products are written over the planes they have consumed, and one
+    forward transform takes all of them; the B methods skip the advection.
+    Those buffers make an assembly unsafe to share between threads, for
+    any of its methods.
     """
 
     grid: Grid
@@ -78,46 +80,61 @@ class BAssembly:
     # -- half-spectrum core ----------------------------------------------
 
     @cached_property
-    def _workspace(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``_spectra``'s buffers: a complex stack for the spectra of (u, du)
-        and later of the products, the real samples of (u, du), and the
-        real products, trace and advection."""
-        g, m = self.grid, len(self._pairs)
+    def _workspace(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_spectra``'s buffers: d + d^2 complex planes for the spectra of
+        (u, du) and later of the products, trace and advection, and d + d^2
+        + 1 real planes: the samples of u, of du as rows du[k] = d_k u, and
+        one spare plane."""
+        g = self.grid
         factors = g.dim + g.dim * g.dim
         return (np.empty((factors,) + g.xi_sq.shape, dtype=np.complex128),
-                np.empty((factors,) + g.shape),
-                np.empty((m + 1 + g.dim,) + g.shape))
+                np.empty((factors + 1,) + g.shape))
 
     def _spectra(self, u_hat: np.ndarray, advection: bool = True):
         """Half spectra of B(u) and, unless ``advection`` is false (then
         None), of the advection (u . grad) u from that of u, the latter not
         yet dealiased: views of the workspace, valid until the next call;
-        ``u_hat`` is left untouched."""
+        ``u_hat`` is left untouched.
+
+        The real stack ends in [m products, d advection planes, trace]
+        (without the advection for B alone), so one forward transform takes
+        that slice, and its spectra hold the products first and the trace
+        last."""
         g, d, m = self.grid, self.grid.dim, len(self._pairs)
-        spec, samples, planes = self._workspace
+        spec, stack = self._workspace
         np.copyto(spec[:d], u_hat)
-        # du_hat[i, j] = u_hat_i * i xi_j
-        np.multiply(u_hat[:, None], g.deriv,
+        # du_hat[k, i] = i xi_k * u_hat_i
+        np.multiply(g.deriv[:, None], u_hat,
                     out=spec[d:].reshape((d, d) + g.xi_sq.shape))
-        g._irfft_consuming(spec, out=samples)
-        u, du = samples[:d], samples[d:].reshape((d, d) + g.shape)
-        # the products u_i u_k (i <= k), the trace sum_ik d_i u_k d_k u_i
-        # and the advection sum_k u_k d_k u_i, consuming du
-        for p, (i, k) in enumerate(self._pairs):
-            np.multiply(u[i], u[k], out=planes[p])
-        np.einsum("ik...,ki...->...", du, du, out=planes[m])
+        g._irfft_consuming(spec, out=stack[:-1])
+        u, du = stack[:d], stack[d:-1].reshape((d, d) + g.shape)
+        # the trace sum_ik d_i u_k d_k u_i into the spare last plane
+        np.einsum("ik...,ki...->...", du, du, out=stack[-1])
         n = m + 1
         if advection:
-            np.multiply(du, u, out=du)
-            np.sum(du, axis=1, out=planes[n:])
+            # (u . grad) u_i = sum_k u_k d_k u_i, summed left to right into
+            # the last row from +0.0 as np.sum would; rows 0..d-2 are free
             n += d
-        spec = g.rfft(planes[:n], out=spec[:n])
+            np.multiply(du, u[:, None], out=du)
+            np.add(du[0], 0.0, out=du[0])
+            for k in range(1, d):
+                np.add(du[k - 1], du[k], out=du[k])
+        lo = len(stack) - n
+        # the products u_i u_k (i <= k) into the m planes before the
+        # advection row (or the trace), last pair first: in 2D with the
+        # advection the first of those planes is u[1], which only the later
+        # pairs read
+        for p in reversed(range(m)):
+            i, k = self._pairs[p]
+            np.multiply(u[i], u[k], out=stack[lo + p])
+        spec = g.rfft(stack[lo:], out=spec[:n])
         # contraction with the B1 and B2 symbols, summed into spec[0]
         np.multiply(self._b1_symbol, spec[:m], out=spec[:m])
-        np.multiply(self._b2_symbol, spec[m], out=spec[m])
-        for p in range(1, m + 1):
+        np.multiply(self._b2_symbol, spec[-1], out=spec[-1])
+        for p in range(1, m):
             np.add(spec[0], spec[p], out=spec[0])
-        return spec[0], (spec[m + 1:] if advection else None)
+        np.add(spec[0], spec[-1], out=spec[0])
+        return spec[0], (spec[m:m + d] if advection else None)
 
     def rhs_hat(self, u_hat: np.ndarray) -> np.ndarray:
         """Half spectrum of grad B(u) - (u . grad) u from that of u; a new

@@ -111,15 +111,35 @@ def _rk(f, y: np.ndarray, dt: float, method: str = "rk4") -> np.ndarray:
     """One step of dy/dt = f(c, y), c the stage's fraction of the step:
     classical RK4 (c = 0, 1/2, 1/2, 1) or the midpoint rule "rk2".  A
     stage that overflows the float range gives non-finite values without
-    a warning; every integrator rejects those as a blow-up."""
+    a warning; every integrator rejects those as a blow-up.
+
+    ``f`` must return a new array and keep no reference to its input.
+    The stages accumulate in place: k1 + 2 k2 + 2 k3 + k4 is summed into
+    k1 in that order (doubling is exact, so k is scaled in place), and
+    every stage input y + c dt k is formed in one reused buffer, so while
+    a stage runs only y, the sum and that buffer are held.  The result is
+    the array k1 held, bit for bit the plain expression; ``y`` is left
+    untouched.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         if method == "rk2":
-            return y + dt * f(0.5, y + 0.5 * dt * f(0.0, y))
-        k1 = f(0.0, y)
-        k2 = f(0.5, y + 0.5 * dt * k1)
-        k3 = f(0.5, y + 0.5 * dt * k2)
-        k4 = f(1.0, y + dt * k3)
-        return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k = f(0.0, y)
+            np.multiply(k, 0.5 * dt, out=k)
+            k = f(0.5, np.add(k, y, out=k))
+            np.multiply(k, dt, out=k)
+            return np.add(k, y, out=k)
+        acc = f(0.0, y)
+        stage = np.multiply(acc, 0.5 * dt)
+        k = f(0.5, np.add(stage, y, out=stage))
+        for c, h in ((0.5, 0.5 * dt), (1.0, dt)):
+            np.multiply(k, h, out=stage)
+            np.add(stage, y, out=stage)
+            np.add(acc, np.multiply(k, 2.0, out=k), out=acc)
+            del k  # freed before the next stage runs
+            k = f(c, stage)
+        np.add(acc, k, out=acc)
+        np.multiply(acc, dt / 6.0, out=acc)
+        return np.add(acc, y, out=acc)
 
 
 def _check_assembly(bb: BAssembly, cutoff: float, *fields) -> None:

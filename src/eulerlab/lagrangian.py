@@ -76,12 +76,14 @@ class Diffeo:
         """phi evaluated on the grid, shape (dim,) + grid.shape (not wrapped)."""
         return np.stack(self.grid.coords()) + self.displacement.data
 
-    def check_orientation(self) -> None:
+    def check_orientation(self) -> np.ndarray:
+        """The samples of det d(phi); ValueError unless all are positive."""
         det = det_jacobian(self).data
         if np.min(det) <= 0.0:
             raise ValueError(
                 f"map is not orientation preserving (min det = {np.min(det):.3e})"
             )
+        return det
 
 
 def identity(grid: Grid) -> Diffeo:
@@ -223,12 +225,13 @@ class GeodesicConfig:
 @dataclass(frozen=True)
 class GeodesicTrajectory:
     """The kept states (t = 0 and T, or every step when solved with
-    ``keep="all"``) and, per step at t = 0, dt, ..., T, the times and
-    the L^2 speeds ||v||_0."""
+    ``keep="all"``) and, per step at t = 0, dt, ..., T, the times, the
+    L^2 speeds ||v||_0 and the volume defects max |det d(phi) - 1|."""
 
     states: tuple[GeodesicState, ...]
     times: np.ndarray
     speeds: np.ndarray
+    det_defects: np.ndarray
 
     @property
     def final(self) -> GeodesicState:
@@ -242,10 +245,24 @@ def _christoffel(phi, v, bb, order, inv_guess):
     return compose(bb.grad_b(u), phi, order=order), psi
 
 
+def _det_defect(det: np.ndarray) -> float:
+    return float(np.max(np.abs(det - 1.0)))
+
+
+def _speed(v: VectorField) -> float:
+    """||v||_0; a square beyond the float range makes it inf without a
+    warning, as in the Eulerian monitors, and the step after such a state
+    fails as a blow-up."""
+    with np.errstate(over="ignore"):
+        return sobolev_norm(v, 0.0)
+
+
 def _geodesic_step(state: GeodesicState, bb: BAssembly, cfg: GeodesicConfig,
                    inv_guess: VectorField | None):
     """RK4 on the stacked (g, v); each stage's inverse map seeds the next
-    stage's inversion.  A folded map or non-finite samples raise BlowUpError."""
+    stage's inversion.  Returns the new state, the last stage's inverse and
+    the new map's volume defect, from the det its orientation check takes.
+    A folded map or non-finite samples raise BlowUpError."""
     grid, d = state.v.grid, state.v.grid.dim
     guess = inv_guess
 
@@ -261,11 +278,11 @@ def _geodesic_step(state: GeodesicState, bb: BAssembly, cfg: GeodesicConfig,
         y = _rk(f, np.concatenate([state.phi.displacement.data, state.v.data]),
                 cfg.dt)
         phi, v = Diffeo(VectorField(grid, y[:d])), VectorField(grid, y[d:])
-        phi.check_orientation()
+        defect = _det_defect(phi.check_orientation())
     except ValueError as exc:  # folded map or non-finite samples
         raise BlowUpError(f"geodesic left the smooth regime at t = {t}: "
                           f"{exc}") from exc
-    return GeodesicState(t, phi, v), guess
+    return GeodesicState(t, phi, v), guess, defect
 
 
 def geodesic_step(state: GeodesicState, cfg: GeodesicConfig | None = None,
@@ -279,8 +296,7 @@ def geodesic_step(state: GeodesicState, cfg: GeodesicConfig | None = None,
     if bb is None:
         bb = BAssembly(state.v.grid, cutoff=cfg.cutoff)
     _check_assembly(bb, cfg.cutoff, state.v, state.phi.displacement)
-    new_state, _ = _geodesic_step(state, bb, cfg, None)
-    return new_state
+    return _geodesic_step(state, bb, cfg, None)[0]
 
 
 def geodesic_solve(u0: VectorField, T: float, cfg: GeodesicConfig | None = None,
@@ -288,8 +304,8 @@ def geodesic_solve(u0: VectorField, T: float, cfg: GeodesicConfig | None = None,
     """Integrate the geodesic system from (id, u0) up to time T.
 
     ``keep="final"`` keeps the states at t = 0 ((id, u0) itself) and T
-    only, ``keep="all"`` every step's; the times and speeds cover every
-    step either way.
+    only, ``keep="all"`` every step's; the times, speeds and volume
+    defects cover every step either way.
     """
     _check_keep(keep)
     if cfg is None:
@@ -300,17 +316,20 @@ def geodesic_solve(u0: VectorField, T: float, cfg: GeodesicConfig | None = None,
     state = GeodesicState(0.0, identity(u0.grid), u0)
     states = [state]
     times = [0.0]
-    speeds = [sobolev_norm(u0, 0.0)]
+    speeds = [_speed(u0)]
+    defects = [_det_defect(det_jacobian(state.phi).data)]
     guess: VectorField | None = None
     for i in range(n_steps):
-        state, guess = _geodesic_step(state, bb, cfg, guess)
+        state, guess, defect = _geodesic_step(state, bb, cfg, guess)
         state = GeodesicState((i + 1) * cfg.dt, state.phi, state.v)
         if keep == "all" or i == n_steps - 1:
             states.append(state)
         times.append(state.t)
         # the norm of a samples-only copy: a kept v caches no spectrum
-        speeds.append(sobolev_norm(VectorField(u0.grid, state.v.data), 0.0))
-    return GeodesicTrajectory(tuple(states), np.array(times), np.array(speeds))
+        speeds.append(_speed(VectorField(u0.grid, state.v.data)))
+        defects.append(defect)
+    return GeodesicTrajectory(tuple(states), np.array(times), np.array(speeds),
+                              np.array(defects))
 
 
 def exp_map(u0: VectorField, t: float, cfg: GeodesicConfig | None = None) -> Diffeo:
@@ -323,7 +342,7 @@ def exp_map(u0: VectorField, t: float, cfg: GeodesicConfig | None = None) -> Dif
     """
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    if t == 0 or sobolev_norm(u0, 0.0) == 0.0:
+    if t == 0 or _speed(u0) == 0.0:
         return identity(u0.grid)
     return geodesic_solve(u0, t, cfg=cfg).final.phi
 

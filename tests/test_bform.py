@@ -145,6 +145,33 @@ def test_grad_b_skips_the_advection(dim, n, forward, rng, planes):
     assert planes == {"rfft": forward, "irfft": dim + dim * dim + dim}
 
 
+@pytest.mark.parametrize("dim,n,forward", [(2, 16, 4), (3, 8, 7)])
+@pytest.mark.parametrize("method", ["b", "b1", "b2"])
+def test_b_transform_count(dim, n, forward, method, rng, planes):
+    # as grad_b: (u, du) inverse, the products and the trace forward, and
+    # the one plane of B inverse
+    grid = Grid(dim=dim, n=n, length=TAU)
+    u = VectorField.from_hat(grid, grid.rfft(_white_noise(grid, rng).data))
+    planes.update(dict.fromkeys(planes, 0))
+    getattr(BAssembly(grid), method)(u)
+    assert planes == {"rfft": forward, "irfft": dim + dim * dim + 1}
+
+
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+def test_workspace_is_one_complex_and_one_real_stack(dim, n, rng):
+    # d + d^2 complex planes and d + d^2 + 1 real ones (7 in 2D, 13 in
+    # 3D), where two real stacks took 12 and 22
+    grid = Grid(dim=dim, n=n, length=TAU)
+    bb = BAssembly(grid)
+    bb.rhs_hat(grid.rfft(_white_noise(grid, rng).data))
+    spec, stack = bb._workspace
+    factors = dim + dim * dim
+    assert spec.shape == (factors,) + grid.xi_sq.shape
+    assert spec.dtype == np.complex128
+    assert stack.shape == (factors + 1,) + grid.shape
+    assert stack.dtype == np.float64
+
+
 @pytest.mark.parametrize("dim,n", [(2, 128), (3, 32)])
 @pytest.mark.parametrize("method,factor", [("b", 8), ("b1", 8), ("b2", 8),
                                            ("grad_b", 4)])

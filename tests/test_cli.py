@@ -261,6 +261,19 @@ class TestExitCodes:
         assert f"numerical failure: {message}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("dynamics", ["eulerian", "geodesic"])
+    @pytest.mark.parametrize("amplitude", ["1e155", "1e160", "1e200", "1e300"])
+    def test_overflowing_amplitude_is_3(self, dynamics, amplitude, tmp_path,
+                                        capsys):
+        # the initial L^2 speed (geodesic) or H^s norm (eulerian) squares
+        # beyond the float range: a numerical failure in the first step,
+        # with no RuntimeWarning from the speed monitor on the way
+        assert run(["simulate", "--dynamics", dynamics, "--N", "8",
+                    "--T", "0.01", "--dt", "0.01", "--amplitude", amplitude,
+                    "--out", tmp_path / "o"]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numerical failure: " in err and "Traceback" not in err
+
     def test_geodesic_run_ignores_sobolev_index(self, tmp_path):
         assert run(["simulate", "--dynamics", "geodesic", "--N", "8", "--s",
                     "400", "--T", "0.01", "--dt", "0.01",
@@ -317,6 +330,9 @@ _EDGES = [0.0, -1.0, 400.0, -400.0, 1e300, -1e300, 1e-300, 1e-150, 1e-10,
           1e160, 1e200]
 # --T and --dt
 _TIME_EDGES = [0.0, -1.0, np.nan, np.inf, -np.inf, 1e-300, 1e300, 0.015]
+# --amplitude
+_AMPLITUDE_EDGES = [0.0, -1.0, np.nan, np.inf, -np.inf, 5e-324, 1e-300,
+                    1e-155, 1e155, 1e300]
 
 
 class TestExitCodeContract:
@@ -351,6 +367,21 @@ class TestExitCodeContract:
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             code = run(["simulate", "--dynamics", dynamics, "--N", "8",
                         f"--T={T!r}", f"--dt={dt!r}", "--out", out])
+        assert code in (EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_NUMERIC)
+        assert code != EXIT_CONFIG or not out.exists()
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(dynamics=st.sampled_from(["eulerian", "geodesic"]),
+           initial=st.sampled_from(["random", "taylor-green"]),
+           amplitude=_edge_or_log_uniform(_AMPLITUDE_EDGES))
+    def test_simulate_amplitude(self, tmp_path_factory, dynamics, initial,
+                                amplitude):
+        out = tmp_path_factory.mktemp("contract") / "o"
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = run(["simulate", "--dynamics", dynamics, "--N", "8",
+                        "--T", "0.01", "--dt", "0.01", "--initial", initial,
+                        f"--amplitude={amplitude!r}", "--out", out])
         assert code in (EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_NUMERIC)
         assert code != EXIT_CONFIG or not out.exists()
 

@@ -186,6 +186,18 @@ def test_rk_stage_fractions():
     assert rk2[0] == pytest.approx(1.0 + dt ** 2 / 2.0, rel=1e-15)
 
 
+@pytest.mark.parametrize("method", ["rk4", "rk2"])
+def test_rk_leaves_y_and_returns_a_new_array(method, rng):
+    # the stages accumulate in place, never in y
+    y = rng.standard_normal((2, 8, 5)) + 1j * rng.standard_normal((2, 8, 5))
+    kept = y.copy()
+    y.flags.writeable = False
+    out = eulerian._rk(lambda c, v: (1.0 + c) * v * v, y, 0.1, method)
+    assert np.array_equal(y, kept)
+    assert not np.shares_memory(out, y)
+    assert not np.array_equal(out, kept)
+
+
 def test_monitors_match_field_norms(grid32, rng):
     # Hermitian-weighted half-spectrum sums equal the full-spectrum norms,
     # also for a field with divergence and Nyquist content
@@ -207,6 +219,30 @@ def test_rhs_hat_transform_count(grid32, rng, planes):
     planes.update(dict.fromkeys(planes, 0))
     bb.rhs_hat(u_hat)
     assert planes == {"rfft": 6, "irfft": 6}
+
+
+def test_rhs_hat_transform_count_3d(grid3d, rng, planes):
+    # 3D: u and du inverse (3 + 9 planes); the 6 B1 products, the B2
+    # trace and the 3 advection components forward (10 planes)
+    bb = BAssembly(grid3d)
+    u_hat = grid3d.rfft(random_div_free(grid3d, rng).data)
+    planes.update(dict.fromkeys(planes, 0))
+    bb.rhs_hat(u_hat)
+    assert planes == {"rfft": 10, "irfft": 12}
+
+
+@pytest.mark.parametrize("dim,n,bound", [(2, 128, 27), (3, 32, 48)])
+def test_fresh_step_memory(dim, n, bound, rng):
+    # one step with a new assembly holds the assembly's symbols, its d + d^2
+    # complex and d + d^2 + 1 real planes, the stage sum, the stage input,
+    # one stage and rhs_hat's temporaries: 24.4 real planes in 2D and 42.8
+    # in 3D; keeping k1..k4 and two real stacks took 34.4 and 60.9
+    grid = Grid(dim=dim, n=n, length=2.0 * np.pi)
+    u = random_div_free(grid, rng, norm_value=0.5)
+    state = EulerState(0.0, VectorField.from_hat(grid, grid.rfft(u.data)))
+    with TracedPeak() as traced:
+        step(state, StepperConfig(dt=0.01))
+    assert traced.peak <= bound * grid.size * 8
 
 
 @pytest.mark.parametrize("n_steps", [1, 3])

@@ -288,6 +288,19 @@ class TestGeodesic:
         # is the caller's u0)
         assert all(st.v._hat is None for st in traj.states[1:])
 
+    def test_det_defects_are_those_of_the_states(self, grid32, rng):
+        # recorded per step from the det the orientation check takes, at
+        # t = 0 from the identity, whether or not the states are kept
+        u0 = random_div_free(grid32, rng, norm_value=0.4)
+        cfg = GeodesicConfig(dt=0.02)
+        full = geodesic_solve(u0, 0.1, cfg, keep="all")
+        expect = [np.max(np.abs(det_jacobian(st.phi).data - 1.0))
+                  for st in full.states]
+        assert np.array_equal(full.det_defects, expect)
+        assert full.det_defects[0] == 0.0 and full.det_defects[-1] > 0.0
+        assert np.array_equal(geodesic_solve(u0, 0.1, cfg).det_defects,
+                              full.det_defects)
+
     def test_matches_eulerian_velocity(self, grid32, rng):
         u0 = random_div_free(grid32, rng, norm_value=0.4)
         T, dt = 0.2, 0.02
@@ -337,6 +350,13 @@ class TestGeodesic:
     def test_exp_map_at_zero_time_is_identity(self, grid16, rng):
         u0 = random_div_free(grid16, rng)
         assert np.max(np.abs(exp_map(u0, 0.0).displacement.data)) == 0.0
+
+    def test_exp_map_of_an_overflowing_speed_is_a_blow_up(self, grid16, rng):
+        # ||u0||_0^2 beyond the float range: no RuntimeWarning from the
+        # zero-speed check or the speed monitor, a BlowUpError from the step
+        u0 = random_div_free(grid16, rng) * 1e200
+        with pytest.raises(BlowUpError):
+            exp_map(u0, 0.01, GeodesicConfig(dt=0.01))
 
 
 class TestGeodesicConfig:
