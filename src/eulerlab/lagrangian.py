@@ -97,13 +97,22 @@ def shift(grid: Grid, a) -> Diffeo:
 
 
 def _moved_nodes(g: np.ndarray):
-    """Index of the nodes a displacement g moves: slice(None) when it
-    moves all of them, a boolean mask over the grid when it fixes some,
-    None when it fixes every node."""
+    """Index of the nodes a displacement g, shape (dim, nodes), moves:
+    slice(None) when it moves all of them, their flat indices when it
+    fixes some, None when it fixes every node."""
     moved = np.any(g != 0.0, axis=0)
     if moved.all():
         return slice(None)
-    return moved if moved.any() else None
+    return np.flatnonzero(moved) if moved.any() else None
+
+
+def _node_coords(grid: Grid, sel) -> np.ndarray:
+    """Coordinates, shape (dim, nodes), of the nodes ``sel`` selects: for
+    flat indices their unravelled indices times the spacing, bit for bit
+    ``grid.coords()``."""
+    if isinstance(sel, slice):
+        return np.stack(grid.coords()).reshape(grid.dim, -1)
+    return np.stack(np.unravel_index(sel, grid.shape)) * grid.spacing
 
 
 def compose(f, phi: Diffeo, order=DEFAULT_ORDER):
@@ -113,12 +122,13 @@ def compose(f, phi: Diffeo, order=DEFAULT_ORDER):
     displacement) the sample of f is copied, which is exact.
     """
     grid = _check_same_grid(f, phi.displacement)
-    g = phi.displacement.data
+    g = phi.displacement.data.reshape(grid.dim, -1)
     sel = _moved_nodes(g)
     vals = f.data.copy()
     if sel is not None:
-        points = np.stack([c[sel] for c in grid.coords()]) + g[:, sel]
-        vals[..., sel] = Interpolant(f, order=order).at(points)
+        points = _node_coords(grid, sel) + g[:, sel]
+        flat = vals.reshape(vals.shape[:vals.ndim - grid.dim] + (-1,))
+        flat[..., sel] = Interpolant(f, order=order).at(points)
     return type(f)(grid, vals)
 
 
@@ -137,31 +147,39 @@ def invert(phi: Diffeo, order=DEFAULT_ORDER, tol: float = 1e-10,
     step using the interpolated Jacobian of g once the contraction
     stalls.  At a node phi fixes (g = 0) the exact solution is h = 0: it
     is set there, and the iteration, its residual and the guess cover the
-    moved nodes only (phi = id returns at once).  Raises BlowUpError at
-    once on a non-finite iterate, and RuntimeError when _INVERT_MAX_ITER
-    iterations run out or a Newton step raises the residual, and
-    ValueError unless ``tol`` is positive and finite.
+    moved nodes only (phi = id returns at once).  Without a guess the
+    first iterate h = 0 queries the nodes themselves, where every
+    interpolant in ``interp.ORDERS`` reproduces the samples, so its
+    residual reads g's samples instead of evaluating the interpolant.
+    Raises BlowUpError at once on a non-finite iterate, and RuntimeError
+    when _INVERT_MAX_ITER iterations run out or a Newton step raises the
+    residual, and ValueError unless ``tol`` is positive and finite.
     """
     if not (tol > 0 and np.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     grid = phi.grid
-    sel = _moved_nodes(phi.displacement.data)
+    g = phi.displacement.data.reshape(grid.dim, -1)
+    sel = _moved_nodes(g)
     if sel is None:
         return identity(grid)
     g_interp = Interpolant(phi.displacement, order=order)
-    x = np.stack([c[sel] for c in grid.coords()])
-    h = np.zeros_like(x) if guess is None else guess.data[:, sel].copy()
+    x = _node_coords(grid, sel)
+    if guess is None:
+        h, gh = np.zeros_like(x), g[:, sel]
+    else:
+        h, gh = guess.data.reshape(grid.dim, -1)[:, sel], None
 
     dg_interp = None
     newton = False
     prev_res = res = np.inf
     it = 0
     for it in range(1, _INVERT_MAX_ITER + 1):
-        gh = g_interp.at(x + h)
+        if gh is None:
+            gh = g_interp.at(x + h)
         res = float(np.max(np.abs(h + gh)))
         if res <= tol:
             out = np.zeros_like(phi.displacement.data)
-            out[:, sel] = h
+            out.reshape(grid.dim, -1)[:, sel] = h
             return Diffeo(VectorField(grid, out))
         if not np.isfinite(res):
             raise BlowUpError(f"non-finite iterate in diffeomorphism inversion "
@@ -182,7 +200,7 @@ def invert(phi: Diffeo, order=DEFAULT_ORDER, tol: float = 1e-10,
             h = h - np.moveaxis(delta, -1, 0)
         else:
             h = -gh
-        prev_res = res
+        prev_res, gh = res, None
     raise RuntimeError(
         f"diffeomorphism inversion did not reach {tol:.1e} in {it} "
         f"iterations (residual {res:.3e})"

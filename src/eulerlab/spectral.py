@@ -44,6 +44,11 @@ __all__ = [
 # periodic images.
 DEFAULT_BOX_LENGTH = 16.0 * np.pi
 
+# Largest grid, in points: one real sample plane of 512 MiB (2D n <= 8192,
+# 3D n <= 256).  A solve holds a few dozen planes, so a larger grid would
+# not fit in memory; it is refused before anything is allocated.
+_MAX_POINTS = 2**26
+
 
 class GridMismatchError(ValueError):
     """Raised when an operation mixes fields living on different grids."""
@@ -70,6 +75,9 @@ class Grid:
             raise ValueError(f"dim must be 2 or 3, got {self.dim}")
         if self.n < 8 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 8, got {self.n}")
+        if int(self.n) ** self.dim > _MAX_POINTS:
+            raise ValueError(f"a grid of {self.n}^{self.dim} points exceeds the "
+                             f"budget of {_MAX_POINTS} points")
         if not (self.length > 0 and np.isfinite(self.length)):
             raise ValueError(f"length must be positive, got {self.length}")
         # the largest |xi|^2, dim (pi n / L)^2, must stay a finite float;
@@ -192,7 +200,11 @@ def _check_same_grid(*objs) -> Grid:
 
 class _Field:
     """Samples of a (possibly tensor-valued) field and its read-only half
-    spectrum: the one ``from_hat`` built it from, else computed on first use."""
+    spectrum: the one ``from_hat`` built it from, else computed on first use.
+
+    ``+``, ``-``, scalar ``*`` and unary ``-`` give a field that holds the
+    same linear combination of the operands' held spectra when every
+    operand holds one, and none otherwise: they never transform."""
 
     _comp_axes: int = 0
 
@@ -225,25 +237,38 @@ class _Field:
         return cls(grid, grid.irfft(hat), hat=hat)
 
     # basic vector-space arithmetic (kept minimal; heavy lifting is in ops)
-    def __add__(self, other):
+    def _combined(self, data: np.ndarray, operands, op):
+        """A field of this kind with samples ``data`` and, when every
+        operand holds a spectrum, ``op`` of those spectra (read-only);
+        the samples are checked first."""
+        out = type(self)(self.grid, data)
+        hats = [f._hat for f in operands]
+        if all(h is not None for h in hats):
+            out._hat = op(*hats)
+            out._hat.flags.writeable = False
+        return out
+
+    def _check_operand(self, other, verb: str) -> None:
         _check_same_grid(self, other)
         if type(other) is not type(self):
-            raise TypeError("can only add fields of the same kind")
-        return type(self)(self.grid, self.data + other.data)
+            raise TypeError(f"can only {verb} fields of the same kind")
+
+    def __add__(self, other):
+        self._check_operand(other, "add")
+        return self._combined(self.data + other.data, (self, other), np.add)
 
     def __sub__(self, other):
-        _check_same_grid(self, other)
-        if type(other) is not type(self):
-            raise TypeError("can only subtract fields of the same kind")
-        return type(self)(self.grid, self.data - other.data)
+        self._check_operand(other, "subtract")
+        return self._combined(self.data - other.data, (self, other), np.subtract)
 
     def __mul__(self, c: float):
-        return type(self)(self.grid, self.data * float(c))
+        c = float(c)
+        return self._combined(self.data * c, (self,), lambda h: h * c)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return type(self)(self.grid, -self.data)
+        return self._combined(-self.data, (self,), np.negative)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.grid.n}, dim={self.grid.dim})"
@@ -318,15 +343,22 @@ def dealias(f: _Field):
 
 
 def _sobolev_weight(grid: Grid, s: float) -> np.ndarray:
-    """(1+|xi|^2)^s times the Hermitian weight of each half-lattice mode;
-    ValueError when a weight is not a finite float."""
+    """(1+|xi|^2)^s times the Hermitian weight of each half-lattice mode,
+    read-only; ValueError when a weight is not a finite float.  The grid
+    keeps the last weight built on it, as it keeps ``deriv``, so repeated
+    norms of one order rebuild nothing."""
     if not np.isfinite(s):
         raise ValueError("s must be finite")
+    last = grid.__dict__.get("_sobolev_weight")
+    if last is not None and last[0] == s:
+        return last[1]
     with np.errstate(over="ignore"):
         w = grid.weight * (1.0 + grid.xi_sq) ** s
     if not np.all(np.isfinite(w)):
         raise ValueError(f"H^{s} weights overflow on {grid.n} points of a box "
                          f"of length {grid.length}")
+    w.flags.writeable = False
+    object.__setattr__(grid, "_sobolev_weight", (s, w))
     return w
 
 

@@ -22,6 +22,8 @@ from eulerlab.cli import (
 )
 from eulerlab.snapshots import _HEADER
 
+from conftest import TracedPeak
+
 TAU = 2.0 * np.pi
 
 
@@ -384,6 +386,19 @@ class TestExitCodeContract:
                         f"--amplitude={amplitude!r}", "--out", out])
         assert code in (EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_NUMERIC)
         assert code != EXIT_CONFIG or not out.exists()
+
+    def test_grid_beyond_the_point_budget_is_a_config_error(self, tmp_path,
+                                                            capsys):
+        # 2**40 points: refused before the grid allocates anything, not a
+        # MemoryError traceback
+        out = tmp_path / "o"
+        with TracedPeak() as traced:
+            code = run(["simulate", "--N", "1048576", "--T", "0.01",
+                        "--dt", "0.01", "--out", out])
+        assert code == EXIT_CONFIG
+        assert "budget" in capsys.readouterr().err
+        assert traced.peak < 1_000_000
+        assert not out.exists()
 
 
 class TestSimulate:

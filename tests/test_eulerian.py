@@ -247,14 +247,16 @@ def test_fresh_step_memory(dim, n, bound, rng):
 
 @pytest.mark.parametrize("n_steps", [1, 3])
 def test_solve_transforms_the_initial_field_once(grid32, rng, planes, n_steps):
-    # the monitors and the first step share the initial field's spectrum
-    # (2 planes); each later step starts from the spectrum its field keeps,
-    # so an RK4 step costs its 4 rhs_hat calls of 6 forward planes only
+    # the monitors and the first step share the initial field's spectrum:
+    # random_div_free keeps the one its projection built, and a
+    # samples-only copy is transformed once (2 planes); each later step
+    # starts from the spectrum its field keeps, so an RK4 step costs its
+    # 4 rhs_hat calls of 6 forward planes only
     u0 = random_div_free(grid32, rng)
-    assert u0._hat is None
-    planes.update(dict.fromkeys(planes, 0))
-    solve(u0, n_steps * 0.01, StepperConfig(dt=0.01))
-    assert planes["rfft"] == 24 * n_steps + 2
+    for field, initial in ((u0, 0), (VectorField(grid32, u0.data), 2)):
+        planes.update(dict.fromkeys(planes, 0))
+        solve(field, n_steps * 0.01, StepperConfig(dt=0.01))
+        assert planes["rfft"] == 24 * n_steps + initial
 
 
 def test_stored_states_keep_samples_only(grid32, rng):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from eulerlab import (
+    BlowUpError,
     GeodesicConfig,
     Grid,
     SeparationSeries,
@@ -91,6 +92,20 @@ class TestCompositionExperiment:
                                grid=Grid(dim=2, n=64, length=TAU))
         assert len(built) == 2 * k_max
 
+    def test_series_reuses_what_it_holds(self, planes, monkeypatch):
+        # 4 rows at N = 128: the spectra of df_k, f_base + df_k and the
+        # strip map dphi / k follow from held ones, the first inversion
+        # iterate from the samples (27, 8 and 12 before either)
+        calls = []
+        at = Interpolant.at
+        monkeypatch.setattr(Interpolant, "at", lambda self, p:
+                            calls.append(1) or at(self, p))
+        composition_experiment(R=0.1, k_max=4,
+                               grid=Grid(dim=2, n=128, length=TAU))
+        assert planes["rfft"] <= 11
+        assert planes["irfft"] == 8
+        assert len(calls) == 8
+
     @pytest.mark.parametrize("n, k_max", [(64, 13), (512, 4)])
     def test_strip_maps_fix_the_base_bump(self, monkeypatch, n, k_max):
         # the rows take nu(f_base, phi_k) = f_base: each inverse strip map
@@ -175,6 +190,15 @@ class TestScalingIdentity:
     def test_other_horizon(self, grid32, rng):
         u0 = random_div_free(grid32, rng, norm_value=0.3)
         assert scaling_check(u0, 2.0, dt=0.01) < 1e-12
+
+    def test_overflowing_norm_is_a_blow_up(self, rng):
+        # the L^2 norm squares beyond the float range: the run fails as a
+        # blow-up, not with an overflow warning
+        u0 = random_div_free(Grid(dim=2, n=8, length=TAU), rng) * 1e155
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BlowUpError):
+                scaling_check(u0, 0.5, dt=0.01)
 
 
 class TestExpDerivative:

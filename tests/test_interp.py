@@ -157,7 +157,7 @@ class TestHeldSpectrum:
 
     def test_samples_only_field_gets_no_spectrum(self, grid32, rng, planes):
         # one transform per component, none kept on the field
-        u = random_div_free(grid32, rng)
+        u = VectorField(grid32, random_div_free(grid32, rng).data)
         planes.update(dict.fromkeys(planes, 0))
         Interpolant(u)
         assert planes["rfft"] == 2

@@ -241,6 +241,78 @@ class TestMovedNodes:
         assert np.max(np.abs(h - ref)) < 1e-9
 
 
+def _masked_reference(f, phi, order, guess=None):
+    """compose and invert gathering and scattering on a 2-D boolean mask
+    of the moved nodes, with node coordinates from ``grid.coords()``: the
+    bit-for-bit reference for the flat node index.  Fixed-point iterates
+    only (a strip shear converges before any Newton switch); without a
+    guess the first residual reads the samples, as in ``invert``."""
+    grid = phi.grid
+    g = phi.displacement.data
+    mask = np.any(g != 0.0, axis=0)
+    x = np.stack([c[mask] for c in grid.coords()])
+    vals = f.data.copy()
+    vals[..., mask] = Interpolant(f, order=order).at(x + g[:, mask])
+    g_interp = Interpolant(phi.displacement, order=order)
+    if guess is None:
+        h, gh = np.zeros_like(x), g[:, mask]
+    else:
+        h = guess.data[:, mask]
+        gh = g_interp.at(x + h)
+    while np.max(np.abs(h + gh)) > 1e-10:
+        h = -gh
+        gh = g_interp.at(x + h)
+    out = np.zeros_like(g)
+    out[:, mask] = h
+    return vals, out
+
+
+@pytest.mark.filterwarnings("ignore:field has significant unpaired Nyquist")
+class TestFlatNodeIndex:
+    @pytest.mark.parametrize("order", [3, 5])
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_matches_boolean_mask_bit_for_bit(self, dim, n, order, rng):
+        grid = Grid(dim=dim, n=n, length=TAU)
+        phi = _strip_shear(grid)
+        f = random_div_free(grid, rng, max_xi=3.0)
+        for guess in (None, VectorField(grid, 0.5 * phi.displacement.data)):
+            vals, h = _masked_reference(f, phi, order, guess)
+            assert np.array_equal(compose(f, phi, order=order).data, vals)
+            got = invert(phi, order=order, guess=guess).displacement.data
+            assert np.array_equal(got, h)
+
+    def test_node_coords_are_the_grid_coords(self, grid3d):
+        sel = np.array([0, 5, 17, grid3d.size - 1])
+        got = lagrangian._node_coords(grid3d, sel)
+        ref = np.stack([c.reshape(-1)[sel] for c in grid3d.coords()])
+        assert np.array_equal(got, ref)
+        assert np.array_equal(lagrangian._node_coords(grid3d, slice(None)),
+                              np.stack(grid3d.coords()).reshape(3, -1))
+
+
+@pytest.mark.filterwarnings("ignore:field has significant unpaired Nyquist")
+class TestGuessFreeFirstIterate:
+    """Without a guess the first iterate reads g's samples at the nodes,
+    where every interpolant reproduces them."""
+
+    @pytest.mark.parametrize("order", [3, 5, "fourier"])
+    @pytest.mark.parametrize("kind", ["strip", "random"])
+    def test_one_evaluation_fewer_and_same_inverse(self, grid32, rng,
+                                                   monkeypatch, kind, order):
+        if kind == "strip":
+            phi = _strip_shear(grid32)
+        else:
+            phi = Diffeo(random_div_free(grid32, rng, norm_value=0.05))
+        sizes = _record_points(monkeypatch)
+        ref = invert(phi, order=order, guess=VectorField.zero(grid32))
+        evaluated = len(sizes)
+        got = invert(phi, order=order)
+        assert len(sizes) - evaluated == evaluated - 1
+        h_ref = ref.displacement.data
+        assert (np.max(np.abs(got.displacement.data - h_ref))
+                <= 1e-12 * np.max(np.abs(h_ref)))
+
+
 class TestDeterminant:
     def test_identity_has_unit_det(self, grid16):
         d = det_jacobian(identity(grid16))

@@ -20,7 +20,7 @@ from eulerlab import (
     sobolev_norm,
 )
 
-from conftest import FullLattice
+from conftest import FullLattice, TracedPeak
 
 TAU = 2.0 * np.pi
 
@@ -38,6 +38,15 @@ class TestGrid:
             Grid(dim=2, n=17)
         with pytest.raises(ValueError):
             Grid(dim=2, n=16, length=-1.0)
+
+    @pytest.mark.parametrize("dim,n", [(2, 2**14), (3, 512), (2, 2**20)])
+    def test_rejects_grid_beyond_the_point_budget(self, dim, n):
+        # refused before anything is allocated: 2**20 points per axis
+        # would need 512 GiB for one 2D mask
+        with TracedPeak() as traced:
+            with pytest.raises(ValueError, match="budget"):
+                Grid(dim=dim, n=n, length=TAU)
+        assert traced.peak < 100_000
 
     @pytest.mark.parametrize("dim", [2, 3])
     def test_rejects_length_whose_wavenumbers_overflow(self, dim):
@@ -176,6 +185,20 @@ class TestSobolevNorm:
                     norm()
             assert np.isfinite(sobolev_norm(f, 100.0))
 
+    def test_weight_kept_per_grid(self, grid16, rng):
+        # the last order's weight is reused, read-only; another order
+        # replaces it, and an equal grid object keeps its own
+        from eulerlab.spectral import _sobolev_weight
+
+        w = _sobolev_weight(grid16, 2.5)
+        assert _sobolev_weight(grid16, 2.5) is w
+        assert not w.flags.writeable
+        assert np.array_equal(w, grid16.weight * (1.0 + grid16.xi_sq) ** 2.5)
+        other = _sobolev_weight(grid16, 1.5)
+        assert other is not w and _sobolev_weight(grid16, 1.5) is other
+        twin = Grid(dim=2, n=16, length=TAU)
+        assert _sobolev_weight(twin, 1.5) is not other
+
     def test_monotone_in_s(self, grid16, rng):
         f = random_scalar(grid16, rng)
         norms = [sobolev_norm(f, s) for s in (0.0, 1.0, 2.0, 3.0)]
@@ -263,6 +286,61 @@ class TestFieldAlgebra:
         combo = f1 * a + f2 * b
         expect = a * f1.data + b * f2.data
         assert np.max(np.abs(combo.data - expect)) < 1e-12
+
+
+_BINARY = {"add": lambda a, b: a + b, "sub": lambda a, b: a - b}
+_UNARY = {"mul": lambda a: a * -1.5, "rmul": lambda a: 0.25 * a,
+          "neg": lambda a: -a}
+
+
+class TestCarriedSpectra:
+    """Linear arithmetic gives its result the same combination of the
+    operands' held spectra, read-only, and transforms nothing."""
+
+    @staticmethod
+    def _operand(f, held):
+        return f if held else type(f)(f.grid, f.data)
+
+    def _check(self, out, expect, planes):
+        assert planes == {"rfft": 0, "irfft": 0}
+        if expect is None:
+            assert out._hat is None
+            return
+        assert np.array_equal(out._hat, expect)
+        assert not out._hat.flags.writeable
+        ref = out.grid.rfft(out.data)
+        assert np.max(np.abs(out._hat - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("held", [(True, True), (True, False),
+                                      (False, True), (False, False)])
+    @pytest.mark.parametrize("op", sorted(_BINARY))
+    @pytest.mark.parametrize("kind", ["scalar", "vector"])
+    def test_binary(self, grid16, rng, planes, kind, op, held):
+        make = {"scalar": random_scalar,
+                "vector": lambda g, r: VectorField.from_hat(
+                    g, np.stack([random_scalar(g, r).hat for _ in range(2)]))}[kind]
+        f, g = make(grid16, rng), make(grid16, rng)
+        a, b = self._operand(f, held[0]), self._operand(g, held[1])
+        planes.update(dict.fromkeys(planes, 0))
+        out = _BINARY[op](a, b)
+        self._check(out, _BINARY[op](f.hat, g.hat) if all(held) else None,
+                    planes)
+        assert np.array_equal(out.data, _BINARY[op](f.data, g.data))
+
+    @pytest.mark.parametrize("held", [True, False])
+    @pytest.mark.parametrize("op", sorted(_UNARY))
+    def test_unary(self, grid16, rng, planes, op, held):
+        f = random_scalar(grid16, rng)
+        a = self._operand(f, held)
+        planes.update(dict.fromkeys(planes, 0))
+        out = _UNARY[op](a)
+        self._check(out, _UNARY[op](f.hat) if held else None, planes)
+        assert np.array_equal(out.data, _UNARY[op](f.data))
+
+    def test_non_finite_result_rejected_before_its_spectrum(self, grid16, rng):
+        f = random_scalar(grid16, rng)  # holds the spectrum it was built from
+        with pytest.raises(ValueError, match="non-finite"):
+            f * np.inf
 
 
 def test_random_scalar_normalization(grid16, rng):
