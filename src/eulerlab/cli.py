@@ -376,10 +376,12 @@ def cmd_snapshot_dump(path: str) -> int:
     print(f"{path}: {kind} on dim={grid.dim} n={grid.n} L={grid.length:g}")
     target = getattr(obj, "displacement", obj)
     print(f"  sup |.| = {np.max(np.abs(target.data)):.6e}")
-    print(f"  H^0 norm = {sobolev_norm(target, 0.0):.6e}")
-    print(f"  H^2 norm = {sobolev_norm(target, 2.0):.6e}")
-    if kind == "VectorField":
-        print(f"  H^0 divergence = {sobolev_norm(divergence(target), 0.0):.3e}")
+    # finite samples near the float range have norms beyond it: inf
+    with np.errstate(over="ignore"):
+        print(f"  H^0 norm = {sobolev_norm(target, 0.0):.6e}")
+        print(f"  H^2 norm = {sobolev_norm(target, 2.0):.6e}")
+        if kind == "VectorField":
+            print(f"  H^0 divergence = {sobolev_norm(divergence(target), 0.0):.3e}")
     return EXIT_OK
 
 

@@ -74,7 +74,7 @@ class Diffeo:
 
     def positions(self) -> np.ndarray:
         """phi evaluated on the grid, shape (dim,) + grid.shape (not wrapped)."""
-        return np.stack(self.grid.coords()) + self.displacement.data
+        return self.grid.nodes + self.displacement.data
 
     def check_orientation(self) -> np.ndarray:
         """The samples of det d(phi); ValueError unless all are positive."""
@@ -108,10 +108,10 @@ def _moved_nodes(g: np.ndarray):
 
 def _node_coords(grid: Grid, sel) -> np.ndarray:
     """Coordinates, shape (dim, nodes), of the nodes ``sel`` selects: for
-    flat indices their unravelled indices times the spacing, bit for bit
-    ``grid.coords()``."""
+    all of them a view of ``grid.nodes``, for flat indices their
+    unravelled indices times the spacing, bit for bit ``grid.coords()``."""
     if isinstance(sel, slice):
-        return np.stack(grid.coords()).reshape(grid.dim, -1)
+        return grid.nodes.reshape(grid.dim, -1)
     return np.stack(np.unravel_index(sel, grid.shape)) * grid.spacing
 
 
@@ -119,11 +119,15 @@ def compose(f, phi: Diffeo, order=DEFAULT_ORDER):
     """Right translation R_phi f = f o phi by periodic interpolation.
 
     Only the nodes phi moves are interpolated; at a node phi fixes (zero
-    displacement) the sample of f is copied, which is exact.
+    displacement) the sample of f is copied, which is exact.  When phi
+    moves every node, the interpolated values are the result as they are.
     """
     grid = _check_same_grid(f, phi.displacement)
     g = phi.displacement.data.reshape(grid.dim, -1)
     sel = _moved_nodes(g)
+    if isinstance(sel, slice):
+        vals = Interpolant(f, order=order).at(_node_coords(grid, sel) + g)
+        return type(f)(grid, vals.reshape(f.data.shape))
     vals = f.data.copy()
     if sel is not None:
         points = _node_coords(grid, sel) + g[:, sel]
@@ -153,10 +157,13 @@ def invert(phi: Diffeo, order=DEFAULT_ORDER, tol: float = 1e-10,
     residual reads g's samples instead of evaluating the interpolant.
     Raises BlowUpError at once on a non-finite iterate, and RuntimeError
     when _INVERT_MAX_ITER iterations run out or a Newton step raises the
-    residual, and ValueError unless ``tol`` is positive and finite.
+    residual, ValueError unless ``tol`` is positive and finite, and
+    GridMismatchError for a guess on another grid, before any evaluation.
     """
     if not (tol > 0 and np.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    if guess is not None:
+        _check_same_grid(phi.displacement, guess)
     grid = phi.grid
     g = phi.displacement.data.reshape(grid.dim, -1)
     sel = _moved_nodes(g)
@@ -178,6 +185,8 @@ def invert(phi: Diffeo, order=DEFAULT_ORDER, tol: float = 1e-10,
             gh = g_interp.at(x + h)
         res = float(np.max(np.abs(h + gh)))
         if res <= tol:
+            if isinstance(sel, slice):  # every node moves: h is the result
+                return Diffeo(VectorField(grid, h.reshape(phi.displacement.data.shape)))
             out = np.zeros_like(phi.displacement.data)
             out.reshape(grid.dim, -1)[:, sel] = h
             return Diffeo(VectorField(grid, out))
@@ -208,10 +217,14 @@ def invert(phi: Diffeo, order=DEFAULT_ORDER, tol: float = 1e-10,
 
 
 def det_jacobian(phi: Diffeo) -> ScalarField:
-    """Pointwise det(d phi) = det(I + dg) with spectral derivatives; phi
-    gains no cached spectrum, so a trajectory's maps keep samples only."""
+    """Pointwise det(d phi) = det(I + dg) with spectral derivatives, in
+    closed form in 2D; phi gains no cached spectrum, so a trajectory's
+    maps keep samples only."""
     grid = phi.grid
     dg = jacobian(VectorField(grid, phi.displacement.data)).data
+    if grid.dim == 2:
+        return ScalarField(grid, (1.0 + dg[0, 0]) * (1.0 + dg[1, 1])
+                           - dg[0, 1] * dg[1, 0])
     mats = np.moveaxis(dg, (0, 1), (-2, -1)) + np.eye(grid.dim)
     return ScalarField(grid, np.linalg.det(mats))
 
@@ -275,20 +288,32 @@ def _speed(v: VectorField) -> float:
         return sobolev_norm(v, 0.0)
 
 
+def _seed(psi_disp: VectorField, g: np.ndarray, g_prev: np.ndarray) -> VectorField:
+    """First-order inverse of the map id + g from the inverse, displacement
+    ``psi_disp``, of the map id + g_prev: h_prev - (g - g_prev)."""
+    return VectorField(psi_disp.grid, psi_disp.data - (g - g_prev))
+
+
 def _geodesic_step(state: GeodesicState, bb: BAssembly, cfg: GeodesicConfig,
                    inv_guess: VectorField | None):
-    """RK4 on the stacked (g, v); each stage's inverse map seeds the next
-    stage's inversion.  Returns the new state, the last stage's inverse and
-    the new map's volume defect, from the det its orientation check takes.
-    A folded map or non-finite samples raise BlowUpError."""
+    """RK4 on the stacked (g, v).  Each stage's inversion starts from the
+    previous stage's inverse, moved to first order by the change of g
+    (``_seed``); ``inv_guess`` seeds the first.  Returns the new state, the
+    seed its step's first inversion takes, and the new map's volume
+    defect, from the det its orientation check takes.  A folded map or
+    non-finite samples raise BlowUpError."""
     grid, d = state.v.grid, state.v.grid.dim
-    guess = inv_guess
+    guess, g_prev = inv_guess, None
 
     def f(c, y):
-        nonlocal guess
-        gamma, psi = _christoffel(Diffeo(VectorField(grid, y[:d])),
+        nonlocal guess, g_prev
+        g = y[:d]
+        if g_prev is not None:
+            guess = _seed(guess, g, g_prev)
+        gamma, psi = _christoffel(Diffeo(VectorField(grid, g)),
                                   VectorField(grid, y[d:]), bb, cfg.order, guess)
-        guess = psi.displacement
+        # _rk overwrites its stage buffer: keep a copy of this stage's g
+        guess, g_prev = psi.displacement, g.copy()
         return np.concatenate([y[d:], gamma.data])
 
     t = state.t + cfg.dt
@@ -297,6 +322,7 @@ def _geodesic_step(state: GeodesicState, bb: BAssembly, cfg: GeodesicConfig,
                 cfg.dt)
         phi, v = Diffeo(VectorField(grid, y[:d])), VectorField(grid, y[d:])
         defect = _det_defect(phi.check_orientation())
+        guess = _seed(guess, y[:d], g_prev)
     except ValueError as exc:  # folded map or non-finite samples
         raise BlowUpError(f"geodesic left the smooth regime at t = {t}: "
                           f"{exc}") from exc
@@ -384,7 +410,7 @@ def flow_of(traj: Trajectory, order=DEFAULT_ORDER) -> list[tuple[float, Diffeo]]
 
     out = [(0.0, identity(grid))]
     g = np.zeros((grid.dim,) + grid.shape)
-    x = np.stack(grid.coords())
+    x = grid.nodes
     u = [Interpolant(traj.states[0].u, order=order)]
     for i in range(0, n, 2):
         # stage fraction c = 0, 1/2, 1 reads state i, i + 1, i + 2; the

@@ -129,6 +129,14 @@ class Grid:
         deriv[:, self.nyquist_mask] = 0.0
         return deriv
 
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        """Node coordinates ``np.stack(self.coords())``, shape (dim,) +
+        grid shape, read-only."""
+        nodes = np.stack(self.coords())
+        nodes.flags.writeable = False
+        return nodes
+
     # -- geometry ------------------------------------------------------
 
     @property

@@ -9,7 +9,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from eulerlab import VectorField, cli
+from eulerlab import (
+    Diffeo,
+    Grid,
+    ScalarField,
+    VectorField,
+    cli,
+    jacobian,
+    random_div_free,
+    vorticity,
+)
 from eulerlab.cli import (
     EXIT_CONFIG,
     EXIT_FAIL,
@@ -20,7 +29,7 @@ from eulerlab.cli import (
     load_config,
     main,
 )
-from eulerlab.snapshots import _HEADER
+from eulerlab.snapshots import _HEADER, save_snapshot
 
 from conftest import TracedPeak
 
@@ -335,6 +344,97 @@ _TIME_EDGES = [0.0, -1.0, np.nan, np.inf, -np.inf, 1e-300, 1e300, 0.015]
 # --amplitude
 _AMPLITUDE_EDGES = [0.0, -1.0, np.nan, np.inf, -np.inf, 5e-324, 1e-300,
                     1e-155, 1e155, 1e300]
+
+
+_SNAPSHOT_KINDS = {
+    "scalar": lambda u: ScalarField(u.grid, u.data[0]),
+    "vector": lambda u: u,
+    "diffeo": lambda u: Diffeo(u * 0.1),
+    "matrix": jacobian,
+    "skew": vorticity,
+}
+
+
+def _snapshot_bytes(directory, kind, dim):
+    """The bytes of a valid snapshot of one kind on an 8-point grid."""
+    grid = Grid(dim=dim, n=8, length=TAU)
+    u = random_div_free(grid, np.random.default_rng(0))
+    path = directory / f"{kind}-{dim}.egl"
+    save_snapshot(path, _SNAPSHOT_KINDS[kind](u))
+    return path.read_bytes()
+
+
+def _dump(path):
+    """snapshot-dump in this process: exit code and captured output; an
+    uncaught exception (a traceback) fails the calling test."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = run(["snapshot-dump", path])
+    return code, sink.getvalue()
+
+
+_snapshot_files = dict(kind=st.sampled_from(sorted(_SNAPSHOT_KINDS)),
+                       dim=st.sampled_from([2, 3]))
+
+
+class TestSnapshotDumpContract:
+    """snapshot-dump on truncated and garbled copies of valid files: a
+    file that does not hold what its header states exits 2."""
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(data=st.data(), **_snapshot_files)
+    def test_cut_file_is_2(self, tmp_path_factory, data, kind, dim):
+        d = tmp_path_factory.mktemp("snap")
+        raw = _snapshot_bytes(d, kind, dim)
+        cut = data.draw(st.integers(0, _HEADER.size - 1)
+                        | st.integers(_HEADER.size, len(raw) - 1))
+        (d / "cut.egl").write_bytes(raw[:cut])
+        code, out = _dump(d / "cut.egl")
+        assert code == EXIT_CONFIG
+        assert ("truncated header" if cut < _HEADER.size else "payload is") in out
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(extra=st.binary(min_size=1, max_size=64), **_snapshot_files)
+    def test_long_payload_is_2(self, tmp_path_factory, extra, kind, dim):
+        d = tmp_path_factory.mktemp("snap")
+        (d / "long.egl").write_bytes(_snapshot_bytes(d, kind, dim) + extra)
+        code, out = _dump(d / "long.egl")
+        assert code == EXIT_CONFIG
+        assert "payload is" in out
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(data=st.data(), in_header=st.booleans(), **_snapshot_files)
+    def test_flipped_bytes_are_0_or_2(self, tmp_path_factory, data, in_header,
+                                      kind, dim):
+        # a flip can leave a valid file (a finite sample, another length
+        # or a vector read as a diffeo); anything else is a config error
+        d = tmp_path_factory.mktemp("snap")
+        raw = bytearray(_snapshot_bytes(d, kind, dim))
+        samples = (len(raw) - _HEADER.size) // 8
+        # any payload byte, or the sign-and-exponent byte of a sample
+        where = (st.integers(0, _HEADER.size - 1) if in_header
+                 else st.integers(_HEADER.size, len(raw) - 1)
+                 | st.integers(0, samples - 1).map(lambda i: _HEADER.size + 8 * i + 7))
+        for _ in range(data.draw(st.integers(1, 3))):
+            raw[data.draw(where)] ^= data.draw(st.integers(1, 255))
+        (d / "flipped.egl").write_bytes(bytes(raw))
+        code, out = _dump(d / "flipped.egl")
+        assert code in (EXIT_OK, EXIT_CONFIG)
+        assert ("sup |.|" in out) == (code == EXIT_OK)
+        assert (code == EXIT_CONFIG) == out.startswith("config error: ")
+
+
+    @pytest.mark.parametrize("kind", sorted(_SNAPSHOT_KINDS))
+    def test_huge_samples_print_inf_norms_without_warning(self, tmp_path,
+                                                          kind):
+        # a flipped exponent bit made a sample 3e307: its H^s norms square
+        # past the float range, which raised a RuntimeWarning
+        raw = bytearray(_snapshot_bytes(tmp_path, kind, 2))
+        raw[_HEADER.size + 7] ^= 0x40
+        (tmp_path / "huge.egl").write_bytes(bytes(raw))
+        code, out = _dump(tmp_path / "huge.egl")
+        assert code == EXIT_OK
+        assert "H^2 norm = inf" in out
 
 
 class TestExitCodeContract:

@@ -97,8 +97,15 @@ class TestOrder:
             Interpolant(random_scalar(grid16, rng), order=order)
 
 
+def _interior(interp, coeffs):
+    """The unpadded coefficients inside a padded array."""
+    p = interp._pad
+    return coeffs[(slice(p, -p),) * coeffs.ndim]
+
+
 class TestWrap:
-    """Spline evaluation wraps points into [0, L) as ``%`` does."""
+    """Spline evaluation wraps points into [0, L) as ``%`` does, and the
+    padded coefficients evaluate as wrapped taps on unpadded ones."""
 
     @pytest.mark.parametrize("order", [3, 5])
     def test_matches_remainder_reference(self, grid32, rng, order):
@@ -111,10 +118,61 @@ class TestWrap:
         f = random_div_free(grid32, rng)
         interp = Interpolant(f, order=order)
         ref = np.stack([
-            ndimage.map_coordinates(c, (pts % L) / h, order=order,
-                                    mode="grid-wrap", prefilter=False)
+            ndimage.map_coordinates(c, (pts % L) / h + interp._pad, order=order,
+                                    mode="nearest", prefilter=False)
             for c in interp._coeffs])
         assert np.array_equal(interp.at(pts), ref)
+
+    @pytest.mark.parametrize("order", [3, 5])
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_padded_matches_grid_wrap(self, rng, dim, n, order):
+        from scipy import ndimage
+
+        grid = Grid(dim=dim, n=n, length=TAU)
+        L = grid.length
+        edge = np.array([0.0, L, np.nextafter(L, 0.0), -1e-300])
+        pts = np.concatenate([
+            np.stack([a.ravel() for a in np.meshgrid(*[edge] * dim, indexing="ij")]),
+            rng.uniform(-L, 2.0 * L, size=(dim, 300))], axis=1)
+        u = random_div_free(grid, rng)
+        interp = Interpolant(u, order=order)
+        vals = interp.at(pts)
+        for c, coeffs in enumerate(interp._coeffs):
+            ref = ndimage.map_coordinates(_interior(interp, coeffs),
+                                          (pts % L) / grid.spacing, order=order,
+                                          mode="grid-wrap", prefilter=False)
+            assert np.max(np.abs(vals[c] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+class TestNonFinitePoints:
+    """A point with a non-finite coordinate evaluates to NaN in every
+    order and component, without a warning; finite points are unchanged."""
+
+    @pytest.mark.parametrize("order", [3, 5, "fourier"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_nan_without_warning(self, rng, dim, order):
+        import warnings
+
+        grid = Grid(dim=dim, n=16, length=TAU)
+        f = random_scalar(grid, rng, max_xi=3.0)
+        u = VectorField(grid, np.stack([f.data] + [np.zeros(grid.shape)] * (dim - 1)))
+        bad = rng.uniform(0.0, TAU, size=(dim, 4))
+        bad[0, 0], bad[-1, 1], bad[0, 2], bad[-1, 3] = np.nan, np.inf, -np.inf, np.nan
+        good = rng.uniform(-TAU, 2.0 * TAU, size=(dim, 5))
+        pts = np.concatenate([bad, good], axis=1)
+        for field in (f, u):
+            interp = Interpolant(field, order=order)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                vals = interp.at(pts)
+            assert np.all(np.isnan(vals[..., :4]))
+            assert np.array_equal(vals[..., 4:], interp.at(good))
+
+    @pytest.mark.parametrize("order", [3, 5, "fourier"])
+    def test_sample_of_non_finite_points(self, grid16, rng, order):
+        f = random_scalar(grid16, rng)
+        pts = np.array([[np.nan, np.inf, 1.0], [0.5, 0.5, np.nan]])
+        assert np.all(np.isnan(sample(f, pts, order=order)))
 
 
 class TestPrefilter:
@@ -135,9 +193,35 @@ class TestPrefilter:
             data = rng.standard_normal(grid.shape)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            (coeffs,) = Interpolant(ScalarField(grid, data), order=order)._coeffs
+            interp = Interpolant(ScalarField(grid, data), order=order)
+        (coeffs,) = interp._coeffs
+        inner = _interior(interp, coeffs)
         ref = ndimage.spline_filter(data, order=order, mode="grid-wrap")
-        assert np.linalg.norm(coeffs - ref) <= 1e-14 * np.linalg.norm(ref)
+        assert np.linalg.norm(inner - ref) <= 1e-14 * np.linalg.norm(ref)
+        # the pad is an exact periodic copy, corners included
+        assert np.array_equal(coeffs, np.pad(inner, interp._pad, mode="wrap"))
+
+    def test_reciprocal_symbol_is_built_once_per_grid_and_order(self, rng,
+                                                                monkeypatch):
+        from eulerlab import interp as interp_mod
+
+        built = []
+        symbols = dict(interp_mod._BSPLINE_SYMBOLS)
+        for order, symbol in symbols.items():
+            monkeypatch.setitem(interp_mod._BSPLINE_SYMBOLS, order,
+                                lambda theta, s=symbol, o=order:
+                                built.append(o) or s(theta))
+        for dim in (2, 3):
+            grid = Grid(dim=dim, n=16, length=TAU)
+            u = random_div_free(grid, rng)
+            # one symbol per axis when the order changes, none after
+            for order, fresh in ((3, True), (3, False), (5, True), (5, False)):
+                built.clear()
+                plane = interp_mod._reciprocal_symbol(grid, order)
+                Interpolant(u, order=order)
+                Interpolant(u * 0.5, order=order)
+                assert interp_mod._reciprocal_symbol(grid, order) is plane
+                assert built == ([order] * dim if fresh else [])
 
 
 class TestHeldSpectrum:
@@ -162,6 +246,24 @@ class TestHeldSpectrum:
         Interpolant(u)
         assert planes["rfft"] == 2
         assert u._hat is None
+
+    @pytest.mark.parametrize("order", [3, 5])
+    @pytest.mark.parametrize("zero_rows", [0, 1])
+    def test_one_pass_makes_a_plane_per_nonzero_component(self, grid32, rng,
+                                                          planes, monkeypatch,
+                                                          order, zero_rows):
+        # the nonzero components of a field without a spectrum go through
+        # one forward and one inverse transform of their stack
+        data = random_div_free(grid32, rng).data.copy()
+        data[2 - zero_rows:] = 0.0
+        calls = []
+        rfft = type(grid32).rfft
+        monkeypatch.setattr(type(grid32), "rfft",
+                            lambda self, v, *a: calls.append(v.shape) or rfft(self, v, *a))
+        planes.update(dict.fromkeys(planes, 0))
+        Interpolant(VectorField(grid32, data), order=order)
+        assert planes == {"rfft": 2 - zero_rows, "irfft": 2 - zero_rows}
+        assert calls == [(2 - zero_rows,) + grid32.shape]
 
 
 class TestNyquistWarning:

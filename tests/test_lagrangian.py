@@ -133,6 +133,20 @@ class TestInversion:
         assert len(calls) < lagrangian._INVERT_MAX_ITER
 
 
+    @pytest.mark.parametrize("n,length", [(32, 2.0 * TAU), (16, TAU),
+                                          (16, 2.0 * TAU)])
+    def test_guess_on_another_grid_is_rejected(self, grid32, rng, monkeypatch,
+                                               n, length):
+        # another L with the same n was used silently, another n failed
+        # in numpy broadcasting; both are refused before any evaluation
+        other = Grid(dim=2, n=n, length=length)
+        phi = Diffeo(random_div_free(grid32, rng, norm_value=0.05))
+        calls = _record_points(monkeypatch)
+        with pytest.raises(GridMismatchError):
+            invert(phi, guess=VectorField.zero(other))
+        assert calls == []
+
+
 def _compose_all_nodes(f, phi, order):
     """Reference right translation: interpolate f at phi(x) on every node."""
     return Interpolant(f, order=order).at(phi.positions())
@@ -313,7 +327,56 @@ class TestGuessFreeFirstIterate:
                 <= 1e-12 * np.max(np.abs(h_ref)))
 
 
+class TestAllNodesMoved:
+    """When the map moves every node, compose returns the interpolated
+    values and invert the iterate as they are, without a scatter."""
+
+    @pytest.mark.parametrize("dim,n,order", [(2, 32, 3), (2, 32, 5), (2, 32, "fourier"),
+                                             (3, 16, 3), (3, 16, 5)])
+    def test_matches_all_node_reference(self, dim, n, order, rng):
+        grid = Grid(dim=dim, n=n, length=TAU)
+        phi = Diffeo(random_div_free(grid, rng, max_xi=3.0, norm_value=0.05))
+        assert np.all(np.any(phi.displacement.data != 0.0, axis=0))
+        f = random_div_free(grid, rng, max_xi=3.0)
+        assert np.array_equal(compose(f, phi, order=order).data,
+                              _compose_all_nodes(f, phi, order))
+        ref = _invert_all_nodes(phi, order)
+        got = invert(phi, order=order).displacement.data
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_node_stack_is_kept_and_read_only(self, grid32):
+        nodes = grid32.nodes
+        assert grid32.nodes is nodes
+        assert not nodes.flags.writeable
+        assert np.array_equal(nodes, np.stack(grid32.coords()))
+
+
 class TestDeterminant:
+    @pytest.mark.parametrize("kind", ["div_free", "scalar_pair"])
+    @pytest.mark.parametrize("amp", [0.1, 0.5, 1.0])
+    def test_closed_form_2d_matches_linalg(self, grid32, rng, kind, amp):
+        # the 2D det is (1 + g00)(1 + g11) - g01 g10; maps with |dg| <= 1
+        if kind == "div_free":
+            u = random_div_free(grid32, rng)
+        else:
+            u = VectorField.from_components([random_scalar(grid32, rng)
+                                             for _ in range(2)])
+        # samples only, as det_jacobian differentiates them
+        u = VectorField(grid32, u.data * (amp / np.max(np.abs(jacobian(u).data))))
+        dg = jacobian(u).data
+        ref = np.linalg.det(np.moveaxis(dg, (0, 1), (-2, -1)) + np.eye(2))
+        assert np.max(np.abs(det_jacobian(Diffeo(u)).data - ref)) <= 1e-15
+
+    def test_closed_form_on_shear_and_stretch(self, grid32):
+        x1, x2 = grid32.coords()
+        zero = np.zeros(grid32.shape)
+        for disp in (np.stack([0.3 * np.sin(x2), zero]),
+                     np.stack([0.2 * np.sin(x1), zero])):
+            u = VectorField(grid32, disp)
+            dg = jacobian(u).data
+            ref = np.linalg.det(np.moveaxis(dg, (0, 1), (-2, -1)) + np.eye(2))
+            assert np.max(np.abs(det_jacobian(Diffeo(u)).data - ref)) <= 1e-15
+
     def test_identity_has_unit_det(self, grid16):
         d = det_jacobian(identity(grid16))
         assert np.max(np.abs(d.data - 1.0)) == 0.0
@@ -431,6 +494,37 @@ class TestGeodesic:
             exp_map(u0, 0.01, GeodesicConfig(dt=0.01))
 
 
+class TestSeededStages:
+    """Each RK stage's inversion starts from h_prev - (g - g_prev)."""
+
+    # Interpolant.at calls per RK stage of the 25-step solve below before
+    # the stages were seeded (each inversion started from the previous
+    # stage's inverse as it was)
+    UNSEEDED_CALLS_PER_STAGE = 4.22
+
+    def test_seeded_matches_unseeded_invert(self, grid32, rng):
+        u = random_div_free(grid32, rng, s=3.0, norm_value=0.5)
+        w = random_div_free(grid32, rng, s=3.0, norm_value=0.5)
+        g_prev, g = (u * 0.1).data, (u * 0.1 + w * 0.005).data
+        psi_prev = invert(Diffeo(VectorField(grid32, g_prev)), tol=1e-12)
+        phi = Diffeo(VectorField(grid32, g))
+        seeded = invert(phi, tol=1e-12,
+                        guess=lagrangian._seed(psi_prev.displacement, g, g_prev))
+        plain = invert(phi, tol=1e-12)
+        assert (np.max(np.abs(seeded.displacement.data - plain.displacement.data))
+                <= 1e-12)
+
+    def test_fewer_evaluations_per_stage(self, monkeypatch):
+        grid = Grid(dim=2, n=64, length=TAU)
+        u0 = random_div_free(grid, np.random.default_rng(1), s=3.0,
+                             norm_value=0.5)
+        calls = _record_points(monkeypatch)
+        traj = geodesic_solve(u0, 0.25, GeodesicConfig(dt=1e-2))
+        stages = 4 * (len(traj.times) - 1)
+        assert stages == 100
+        assert len(calls) / stages <= 0.9 * self.UNSEEDED_CALLS_PER_STAGE
+
+
 class TestGeodesicConfig:
     @pytest.mark.parametrize("order", [7, 4, "linear", None, 3.0, 5.0])
     def test_rejects_unknown_order(self, order):
@@ -503,23 +597,32 @@ class TestGeodesicFailures:
 
 def _geodesic_step_hand_written(state, dt, bb, cfg, inv_guess):
     """Reference geodesic step: RK4 written out on the fields g and v
-    separately, each stage's inverse seeding the next inversion."""
+    separately, each stage's inversion seeded by the previous stage's
+    inverse moved by the change of g, h_prev - (g - g_prev); returns the
+    new state and the seed of the next step's first inversion."""
     g, v = state.phi.displacement, state.v
     kw = dict(bb=bb, order=cfg.order)
+
+    def seed(psi, g_now, g_prev):
+        return psi.displacement - (g_now - g_prev)
+
     k1v, psi = lagrangian._christoffel(Diffeo(g), v, inv_guess=inv_guess, **kw)
     k1g = v
-    k2v, psi = lagrangian._christoffel(Diffeo(g + 0.5 * dt * k1g), v + 0.5 * dt * k1v,
-                                       inv_guess=psi.displacement, **kw)
+    g2 = g + 0.5 * dt * k1g
+    k2v, psi = lagrangian._christoffel(Diffeo(g2), v + 0.5 * dt * k1v,
+                                       inv_guess=seed(psi, g2, g), **kw)
     k2g = v + 0.5 * dt * k1v
-    k3v, psi = lagrangian._christoffel(Diffeo(g + 0.5 * dt * k2g), v + 0.5 * dt * k2v,
-                                       inv_guess=psi.displacement, **kw)
+    g3 = g + 0.5 * dt * k2g
+    k3v, psi = lagrangian._christoffel(Diffeo(g3), v + 0.5 * dt * k2v,
+                                       inv_guess=seed(psi, g3, g2), **kw)
     k3g = v + 0.5 * dt * k2v
-    k4v, psi = lagrangian._christoffel(Diffeo(g + dt * k3g), v + dt * k3v,
-                                       inv_guess=psi.displacement, **kw)
+    g4 = g + dt * k3g
+    k4v, psi = lagrangian._christoffel(Diffeo(g4), v + dt * k3v,
+                                       inv_guess=seed(psi, g4, g3), **kw)
     k4g = v + dt * k3v
     g_new = g + (dt / 6.0) * (k1g + 2.0 * k2g + 2.0 * k3g + k4g)
     v_new = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return GeodesicState(state.t + dt, Diffeo(g_new), v_new), psi.displacement
+    return GeodesicState(state.t + dt, Diffeo(g_new), v_new), seed(psi, g_new, g4)
 
 
 def _flow_of_hand_written(traj, order):
