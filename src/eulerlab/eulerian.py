@@ -18,6 +18,7 @@ from .spectral import (
     ScalarField,
     VectorField,
     _check_same_grid,
+    _power,
     _sobolev_weight,
     chi_symbol,
 )
@@ -176,9 +177,9 @@ def _monitors(grid: Grid, s: float):
     w_div = _sobolev_weight(grid, s - 1.0)
 
     def measure(u_hat: np.ndarray) -> tuple[float, float, float]:
-        # a square beyond the float range makes a norm inf, which solve
-        # reports as blow-up
-        with np.errstate(over="ignore"):
+        # past the float range a norm reads inf, or nan where a weight
+        # underflowed to 0; solve reports either as blow-up
+        with np.errstate(over="ignore", invalid="ignore"):
             power = np.sum(u_hat.real ** 2 + u_hat.imag ** 2, axis=0)
             div = np.sum(grid.deriv * u_hat, axis=0)
             return (float(np.sum(w * power)),
@@ -274,5 +275,4 @@ def div_evolution_residual(u: VectorField, cutoff: float = 1.0) -> ScalarField:
 def energy(u: VectorField) -> float:
     """Squared L^2 norm sum_k |u_hat_k|^2 over the full lattice (Parseval,
     grid-size normalized)."""
-    hat = u.hat
-    return float(np.sum(u.grid.weight * (hat.real ** 2 + hat.imag ** 2)))
+    return _power(u.hat, u.grid.weight)

@@ -239,7 +239,11 @@ def div_free_bump(grid: Grid, center, r: float, s: float = 2.5,
     nrm = sobolev_norm(u, s)
     if nrm == 0:
         raise ValueError("degenerate bump (radius below grid resolution?)")
-    return u * (norm_value / nrm)
+    scale = norm_value / nrm
+    if not np.isfinite(scale):
+        raise ValueError(f"a bump of H^{s} norm {nrm:.3e} cannot be scaled "
+                         f"to {norm_value:.3e} within the float range")
+    return u * scale
 
 
 def random_div_free(grid: Grid, rng: np.random.Generator, s: float = 3.0,

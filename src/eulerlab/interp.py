@@ -32,7 +32,7 @@ import warnings
 
 import numpy as np
 
-from .spectral import _Field
+from .spectral import _Field, _power
 
 __all__ = ["ORDERS", "Interpolant", "sample"]
 
@@ -77,16 +77,13 @@ def _nyquist_power(grid, hat: np.ndarray) -> float:
     first) on the unpaired Nyquist modes, read from their lines only: the
     last axis's plane n/2 (weight 1) and, off it, the union of the other
     axes' planes n/2, by inclusion-exclusion."""
-    def power(h, w=1.0):
-        return float(np.sum(w * (h.real ** 2 + h.imag ** 2)))
-
     lead, m = grid.dim - 1, grid.n // 2
-    total = power(hat[..., -1])
+    total = _power(hat[..., -1])
     w = grid.weight.reshape(-1)[:-1]
     for r in range(1, lead + 1):
         for axes in itertools.combinations(range(lead), r):
             idx = tuple(m if a in axes else slice(None) for a in range(lead))
-            total += (-1) ** (r + 1) * power(hat[(Ellipsis,) + idx + (slice(-1),)], w)
+            total += (-1) ** (r + 1) * _power(hat[(Ellipsis,) + idx + (slice(-1),)], w)
     return total
 
 

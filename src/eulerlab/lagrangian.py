@@ -276,18 +276,6 @@ def _christoffel(phi, v, bb, order, inv_guess):
     return compose(bb.grad_b(u), phi, order=order), psi
 
 
-def _det_defect(det: np.ndarray) -> float:
-    return float(np.max(np.abs(det - 1.0)))
-
-
-def _speed(v: VectorField) -> float:
-    """||v||_0; a square beyond the float range makes it inf without a
-    warning, as in the Eulerian monitors, and the step after such a state
-    fails as a blow-up."""
-    with np.errstate(over="ignore"):
-        return sobolev_norm(v, 0.0)
-
-
 def _seed(psi_disp: VectorField, g: np.ndarray, g_prev: np.ndarray) -> VectorField:
     """First-order inverse of the map id + g from the inverse, displacement
     ``psi_disp``, of the map id + g_prev: h_prev - (g - g_prev)."""
@@ -321,7 +309,7 @@ def _geodesic_step(state: GeodesicState, bb: BAssembly, cfg: GeodesicConfig,
         y = _rk(f, np.concatenate([state.phi.displacement.data, state.v.data]),
                 cfg.dt)
         phi, v = Diffeo(VectorField(grid, y[:d])), VectorField(grid, y[d:])
-        defect = _det_defect(phi.check_orientation())
+        defect = float(np.max(np.abs(phi.check_orientation() - 1.0)))
         guess = _seed(guess, y[:d], g_prev)
     except ValueError as exc:  # folded map or non-finite samples
         raise BlowUpError(f"geodesic left the smooth regime at t = {t}: "
@@ -360,8 +348,8 @@ def geodesic_solve(u0: VectorField, T: float, cfg: GeodesicConfig | None = None,
     state = GeodesicState(0.0, identity(u0.grid), u0)
     states = [state]
     times = [0.0]
-    speeds = [_speed(u0)]
-    defects = [_det_defect(det_jacobian(state.phi).data)]
+    speeds = [sobolev_norm(u0, 0.0)]
+    defects = [0.0]  # det of the identity is exactly 1
     guess: VectorField | None = None
     for i in range(n_steps):
         state, guess, defect = _geodesic_step(state, bb, cfg, guess)
@@ -370,7 +358,7 @@ def geodesic_solve(u0: VectorField, T: float, cfg: GeodesicConfig | None = None,
             states.append(state)
         times.append(state.t)
         # the norm of a samples-only copy: a kept v caches no spectrum
-        speeds.append(_speed(VectorField(u0.grid, state.v.data)))
+        speeds.append(sobolev_norm(VectorField(u0.grid, state.v.data), 0.0))
         defects.append(defect)
     return GeodesicTrajectory(tuple(states), np.array(times), np.array(speeds),
                               np.array(defects))
@@ -386,7 +374,7 @@ def exp_map(u0: VectorField, t: float, cfg: GeodesicConfig | None = None) -> Dif
     """
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    if t == 0 or _speed(u0) == 0.0:
+    if t == 0 or sobolev_norm(u0, 0.0) == 0.0:
         return identity(u0.grid)
     return geodesic_solve(u0, t, cfg=cfg).final.phi
 

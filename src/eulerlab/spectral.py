@@ -370,15 +370,22 @@ def _sobolev_weight(grid: Grid, s: float) -> np.ndarray:
     return w
 
 
+def _power(hat: np.ndarray, weight=1.0) -> float:
+    """sum weight |hat|^2 for ``sobolev_norm``, the energy and the Nyquist
+    check.  Past the float range it reads inf, or nan where an inf square
+    meets a weight that underflowed to 0, without a warning; a caller that
+    cannot use such a norm (a solve, a separation row) fails on it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.sum(weight * (hat.real ** 2 + hat.imag ** 2)))
+
+
 def sobolev_norm(f: _Field, s: float) -> float:
     """H^s norm ( sum_k (1+|xi_k|^2)^s |f_hat_k|^2 )^(1/2), k over the
-    full lattice.
+    full lattice; inf or nan past the float range (see ``_power``).
 
     Vector and matrix fields sum the squared norms of their components.
     """
-    hat = f.hat
-    w = _sobolev_weight(f.grid, s)
-    return float(np.sqrt(np.sum(w * (hat.real ** 2 + hat.imag ** 2))))
+    return float(np.sqrt(_power(f.hat, _sobolev_weight(f.grid, s))))
 
 
 def sobolev_inner(f: _Field, g: _Field, s: float = 0.0) -> float:

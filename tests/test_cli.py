@@ -3,10 +3,11 @@ determinism of outputs."""
 
 import contextlib
 import io
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from eulerlab import (
@@ -457,6 +458,7 @@ class TestExitCodeContract:
     @given(dynamics=st.sampled_from(["eulerian", "geodesic"]),
            T=_edge_or_log_uniform(_TIME_EDGES),
            dt=_edge_or_log_uniform(_TIME_EDGES))
+    @example(dynamics="geodesic", T=8.0, dt=1.0)  # warns, see below
     def test_simulate_horizon_and_step(self, tmp_path_factory, dynamics, T,
                                        dt):
         # a valid run of more than 8 steps is a long run, not a contract
@@ -466,11 +468,18 @@ class TestExitCodeContract:
         assume(not (valid and 8.5 < T / dt < np.inf))
         out = tmp_path_factory.mktemp("contract") / "o"
         sink = io.StringIO()
-        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = run(["simulate", "--dynamics", dynamics, "--N", "8",
                         f"--T={T!r}", f"--dt={dt!r}", "--out", out])
         assert code in (EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_NUMERIC)
         assert code != EXIT_CONFIG or not out.exists()
+        # the one warning a draw may raise: compose and invert of a field
+        # whose geodesic steps on 8 points fill the Nyquist lines
+        for w in caught:
+            assert dynamics == "geodesic" and w.category is UserWarning
+            assert "unpaired Nyquist content" in str(w.message)
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(dynamics=st.sampled_from(["eulerian", "geodesic"]),
@@ -484,6 +493,41 @@ class TestExitCodeContract:
             code = run(["simulate", "--dynamics", dynamics, "--N", "8",
                         "--T", "0.01", "--dt", "0.01", "--initial", initial,
                         f"--amplitude={amplitude!r}", "--out", out])
+        assert code in (EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_NUMERIC)
+        assert code != EXIT_CONFIG or not out.exists()
+
+    # the default --s and --L as a third of the draws, so that runs with
+    # another drawn field get past the parameter checks
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(experiment=st.sampled_from(["composition", "solution-map", "both"]),
+           R=_edge_or_log_uniform(_AMPLITUDE_EDGES),
+           s=st.just(2.5) | _edge_or_log_uniform(_EDGES),
+           length=st.just(TAU) | _edge_or_log_uniform(_EDGES),
+           k_max=st.sampled_from([2, 3]))
+    def test_illposedness(self, tmp_path_factory, experiment, R, s, length,
+                          k_max):
+        # one solution-map step per solve keeps a draw at a few ms
+        out = tmp_path_factory.mktemp("contract") / "o"
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = run(["illposedness", "--experiment", experiment, "--N", "16",
+                        "--kmax", k_max, "--T", "0.01", "--dt", "0.01",
+                        f"--R={R!r}", f"--s={s!r}", f"--L={length!r}",
+                        "--out", out])
+        assert code in (EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_NUMERIC)
+        assert code != EXIT_CONFIG or not out.exists()
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(s=st.just(2.5) | _edge_or_log_uniform(_EDGES),
+           length=st.just(TAU) | _edge_or_log_uniform(_EDGES),
+           seed=st.integers(-2**70, 2**70),
+           dt=st.sampled_from([0.1, 0.05, 0.025]))
+    def test_verify(self, tmp_path_factory, s, length, seed, dt):
+        out = tmp_path_factory.mktemp("contract") / "o"
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = run(["verify", "--N", "8", f"--dt={dt!r}", f"--s={s!r}",
+                        f"--L={length!r}", f"--seed={seed}", "--out", out])
         assert code in (EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_NUMERIC)
         assert code != EXIT_CONFIG or not out.exists()
 
@@ -602,6 +646,39 @@ class TestIllposedness:
         assert len(csv) == 2 + 3
         svg = (out / "composition.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg
+
+    @pytest.mark.parametrize("experiment,R,s,message", [
+        ("composition", "1e155", "2.5", "composition row k = 1 failed"),
+        ("composition", "1e200", "2.5", "composition row k = 1 failed"),
+        ("composition", "1e300", "2.5", "composition row k = 1 failed"),
+        ("composition", "1e155", "-400", "composition row k = 1 failed"),
+        ("solution-map", "1", "-400", "H^-400.0 norm grew to nan"),
+    ])
+    def test_norms_past_the_float_range_are_3(self, experiment, R, s, message,
+                                              tmp_path, capsys):
+        # the rows' gaps (composition) or the packet's monitored norm
+        # (solution map, its H^-400 scaling makes huge samples) read inf,
+        # or nan where a weight underflowed to 0: a numerical failure, with
+        # no RuntimeWarning, no csv of inf gaps and no plot of them
+        out = tmp_path / "ill"
+        assert run(["illposedness", "--experiment", experiment, "--N", "16",
+                    "--kmax", "2", "--T", "0.01", "--dt", "0.01", "--R", R,
+                    f"--s={s}", "--out", out]) == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert f"numerical failure: {message}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_both_with_a_rejected_solution_map_writes_nothing(self, tmp_path,
+                                                              capsys):
+        # the solution map's carrier is beyond the band at R = 1e-3: a
+        # config error, after which no composition output may be left
+        out = tmp_path / "ill"
+        assert run(["illposedness", "--experiment", "both", "--N", "16",
+                    "--kmax", "2", "--R", "1e-3", "--T", "0.01", "--dt",
+                    "0.01", "--out", out]) == EXIT_CONFIG
+        assert "carrier wavenumber" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_deterministic(self, tmp_path):
         blobs = []

@@ -10,6 +10,7 @@ from eulerlab import (
     GridMismatchError,
     StepperConfig,
     VectorField,
+    bump,
     div_evolution_residual,
     divergence,
     energy,
@@ -116,6 +117,14 @@ def test_div_evolution_residual_closes(grid32, rng):
 def test_energy_matches_l2_norm(grid16, rng):
     u = random_div_free(grid16, rng)
     assert energy(u) == pytest.approx(sobolev_norm(u, 0.0) ** 2, rel=1e-12)
+
+
+def test_energy_past_the_float_range_is_inf_without_warning(grid16):
+    import warnings
+    f = bump(grid16, [3.0, 3.0], r=0.5).data * 1e160
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert energy(VectorField(grid16, np.stack([f, -f]))) == np.inf
 
 
 def test_solution_scaling_covariance(grid32, rng):

@@ -163,6 +163,15 @@ class TestBumps:
         assert abs(sobolev_norm(u, 2.5) - 0.3) < 1e-10
         assert sobolev_norm(divergence(u), 1.0) < 1e-10
 
+    def test_div_free_bump_scale_past_the_float_range_rejected(self):
+        # on a box of length 1e154 a bump of radius 0.7 is one node, its
+        # H^2.5 norm about 1e-154: the scale to 2.5e154 is inf, a
+        # ValueError before the product, with no RuntimeWarning from it
+        grid = Grid(dim=2, n=16, length=1e154)
+        center = (0.75e154, 0.75e154)
+        with pytest.raises(ValueError, match="cannot be scaled"):
+            div_free_bump(grid, center, r=0.7, s=2.5, norm_value=2.5e154)
+
     def test_div_free_bump_3d(self, grid3d):
         u = div_free_bump(grid3d, (np.pi, np.pi, np.pi), r=1.0)
         assert sobolev_norm(divergence(u), 1.0) < 1e-10

@@ -10,6 +10,7 @@ from eulerlab import (
     MatrixField,
     ScalarField,
     VectorField,
+    bump,
     random_div_free,
     random_scalar,
 )
@@ -277,6 +278,15 @@ class TestNyquistWarning:
     def test_silent_on_smooth_data(self, grid16, rng):
         import warnings
         f = random_scalar(grid16, rng, max_xi=3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Interpolant(f, order=3)
+
+    def test_silent_past_the_float_range(self, grid16):
+        # a bump has Nyquist content; at 1e160 its Nyquist power and its
+        # mean square are both inf, and summing them warns of nothing
+        import warnings
+        f = bump(grid16, [3.0, 3.0], r=0.5) * 1e160
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             Interpolant(f, order=3)

@@ -12,6 +12,7 @@ from eulerlab import (
     GridMismatchError,
     ScalarField,
     VectorField,
+    bump,
     chi_cutoff,
     chi_symbol,
     partial_derivative,
@@ -171,6 +172,18 @@ class TestSobolevNorm:
             sobolev_norm(f, s)
         with pytest.raises(ValueError, match="s must be finite"):
             sobolev_inner(f, f, s)
+
+    def test_norm_past_the_float_range_is_inf_without_warning(self, grid16,
+                                                              rng):
+        # squares of samples near 1e160 pass the float range: inf, and no
+        # RuntimeWarning from the power sum; nan where an infinite square
+        # meets a weight (1 + |xi|^2)^-400 that underflowed to 0
+        f = bump(grid16, [3.0, 3.0], r=0.5) * 1e160
+        g = random_scalar(grid16, rng) * 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sobolev_norm(f, 0.0) == sobolev_norm(f, 2.0) == np.inf
+            assert np.isnan(sobolev_norm(g, -400.0))
 
     def test_overflowing_weight_rejected(self, grid16, rng):
         # (1 + |xi|^2)^400 is inf on 16 points of a 2 pi box; said at once,
