@@ -167,9 +167,10 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def write_svg_loglog(path: Path, series: dict, title: str) -> None:
+def svg_loglog(series: dict, title: str) -> str:
     """Minimal log-log plot of gap against k: axes, ticks, one polyline
-    per series."""
+    per series, as SVG text; ValueError when no gap is finite and
+    positive."""
     w, h, m = 640, 480, 60
     xs = np.concatenate([np.asarray(s[0], float) for s in series.values()])
     ys = np.concatenate([np.asarray(s[1], float) for s in series.values()])
@@ -221,19 +222,22 @@ def write_svg_loglog(path: Path, series: dict, title: str) -> None:
         parts.append(f'<text x="{w-m+4}" y="{m+16*idx+12}" font-size="11" '
                      f'fill="{col}">{name}</text>')
     parts.append("</svg>")
-    path.write_text("\n".join(parts))
+    return "\n".join(parts)
 
 
-def _series_outputs(ser: SeparationSeries, out: Path, stem: str,
+def _series_outputs(outputs: list[tuple[SeparationSeries, str]], out: Path,
                     cfg_hash: str) -> None:
-    write_csv(out / f"{stem}.csv", ser.column_names(), ser.rows(), cfg_hash)
-    write_svg_loglog(
-        out / f"{stem}.svg",
-        {"input gap": (ser.k, ser.input_gap),
-         "output gap": (ser.k, ser.output_gap)},
-        title=f"{ser.metadata.get('experiment', stem)} separation "
-              f"(R={ser.metadata.get('R')})",
-    )
+    """Write ``stem.csv`` and ``stem.svg`` for each (series, stem).  Every
+    plot is rendered before any file is written, so a series with nothing
+    to plot leaves no output of its own or of the others."""
+    svgs = [svg_loglog({"input gap": (ser.k, ser.input_gap),
+                        "output gap": (ser.k, ser.output_gap)},
+                       title=f"{ser.metadata.get('experiment', stem)} separation "
+                             f"(R={ser.metadata.get('R')})")
+            for ser, stem in outputs]
+    for (ser, stem), svg in zip(outputs, svgs):
+        write_csv(out / f"{stem}.csv", ser.column_names(), ser.rows(), cfg_hash)
+        (out / f"{stem}.svg").write_text(svg)
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +349,8 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_illposedness(cfg: RunConfig) -> int:
-    # both experiments run before either writes, so a run that fails in
-    # the second leaves no output of the first
+    # both experiments run, and both plots render, before either writes,
+    # so a run that fails in the second leaves no output of the first
     out = Path(cfg.out)
     comp = sol = None
     if cfg.experiment in ("composition", "both"):
@@ -355,12 +359,13 @@ def cmd_illposedness(cfg: RunConfig) -> int:
     if cfg.experiment in ("solution-map", "both"):
         sol = solution_map_experiment(R=cfg.R, k_max=cfg.k_max, s=cfg.s,
                                       grid=cfg.grid(), dt=cfg.dt, T=cfg.T)
+    named = ((comp, "composition"), (sol, f"solution_map_R{cfg.R}"))
+    _series_outputs([(ser, stem) for ser, stem in named if ser is not None],
+                    out, cfg.hash())
     if comp is not None:
-        _series_outputs(comp, out, "composition", cfg.hash())
         print(f"composition: input-gap slope {comp.input_gap_slope():+.4f}, "
               f"min output gap {comp.output_gap.min():.4e}")
     if sol is not None:
-        _series_outputs(sol, out, f"solution_map_R{cfg.R}", cfg.hash())
         if sol.metadata.get("band_truncated"):
             print("warning: series truncated at the resolution watermark")
         print(f"solution map R={cfg.R}: min output gap "

@@ -35,7 +35,9 @@ __all__ = [
     "dexp_richardson",
 ]
 
-_COMPOSITION_ORDER = 5  # spline order of every invert and compose in a row
+# spline order of each row's compose and of its invert call, which returns
+# the row's strip shear's exact inverse without interpolating
+_COMPOSITION_ORDER = 5
 
 
 @dataclass(frozen=True)
@@ -97,8 +99,9 @@ def composition_experiment(R: float = 0.1, k_max: int = 13, s: float = 2.5,
     Desk-scale deviations from the idealized construction: dphi keeps
     unit amplitude instead of norm R/2 (otherwise the shifted supports
     would be far below grid resolution), and its support is a coordinate
-    strip rather than a ball (keeps det(d phi_k) = 1 exactly).  Rows with
-    under-resolved df_k carry resolved = 0.
+    strip rather than a ball (keeps det(d phi_k) = 1 exactly, and makes
+    phi_k a shear, whose inverse psi_k = id - dphi/k is exact and needs
+    no interpolation).  Rows with under-resolved df_k carry resolved = 0.
 
     Extra columns: output_gap_sum = ||nu(f_base+df_k, phi_k) - nu(f_base,
     phi_k)||_s + ||df_k||_s, which measures the two disjointly supported
@@ -176,7 +179,9 @@ def _composition_row(f_base, dphi, k, x_star, dk: float, R: float, s: float):
     df = df * (0.5 * R / sobolev_norm(df, s))
     # nu(f, id) = f: the base output is the data itself
     nu_base = f_base + df
-    psi_k = invert(Diffeo(dphi * (1.0 / k)), order=_COMPOSITION_ORDER)
+    # samples only: invert returns the strip shear's inverse from them
+    psi_k = invert(Diffeo(VectorField(dphi.grid, dphi.data * (1.0 / k))),
+                   order=_COMPOSITION_ORDER)
     gap = compose(nu_base, psi_k, order=_COMPOSITION_ORDER) - nu_base
     out_gap = sobolev_norm(gap, s)
     # nu(f_base, phi_k) = f_base: by the box check psi_k fixes every node

@@ -106,6 +106,18 @@ def _moved_nodes(g: np.ndarray):
     return np.flatnonzero(moved) if moved.any() else None
 
 
+def _is_shear(g: np.ndarray) -> bool:
+    """Whether every component of the displacement samples g, shape
+    (dim,) + grid shape, is constant along each axis in which some
+    component is nonzero.  Compares g with its first slice along such an
+    axis, a broadcast view, and stops at the first axis that fails."""
+    for axis in range(g.shape[0]):
+        first = g[(slice(None),) * (axis + 1) + (slice(0, 1),)]
+        if g[axis].any() and not (g == first).all():
+            return False
+    return True
+
+
 def _node_coords(grid: Grid, sel) -> np.ndarray:
     """Coordinates, shape (dim, nodes), of the nodes ``sel`` selects: for
     all of them a view of ``grid.nodes``, for flat indices their
@@ -146,29 +158,37 @@ def invert(phi: Diffeo, order=DEFAULT_ORDER, tol: float = 1e-10,
            guess: VectorField | None = None) -> Diffeo:
     """Inverse diffeomorphism: psi with phi(psi(x)) = x on the torus.
 
-    The displacement h of psi solves the fixed-point equation
-    h(x) = -g(x + h(x)); iterated undamped, h <- -g(x + h), with a Newton
-    step using the interpolated Jacobian of g once the contraction
-    stalls.  At a node phi fixes (g = 0) the exact solution is h = 0: it
-    is set there, and the iteration, its residual and the guess cover the
-    moved nodes only (phi = id returns at once).  Without a guess the
-    first iterate h = 0 queries the nodes themselves, where every
-    interpolant in ``interp.ORDERS`` reproduces the samples, so its
-    residual reads g's samples instead of evaluating the interpolant.
+    A shear, a map whose displacement g is, in every component, constant
+    along each axis in which some component of g is nonzero (strip
+    shears, the translations ``shift`` makes, the identity), has the
+    exact inverse id - g: x - g(x) moves only along axes where g is
+    constant, so g(x - g(x)) = g(x), also for every interpolant of g.
+    It is returned as it is, without interpolation and whatever the
+    guess.  Otherwise the displacement h of psi solves the fixed-point
+    equation h(x) = -g(x + h(x)); iterated undamped, h <- -g(x + h),
+    with a Newton step using the interpolated Jacobian of g once the
+    contraction stalls.  At a node phi fixes (g = 0) the exact solution
+    is h = 0: it is set there, and the iteration, its residual and the
+    guess cover the moved nodes only.  Without a guess the first iterate
+    h = 0 queries the nodes themselves, where every interpolant in
+    ``interp.ORDERS`` reproduces the samples, so its residual reads g's
+    samples instead of evaluating the interpolant.
     Raises BlowUpError at once on a non-finite iterate, and RuntimeError
     when _INVERT_MAX_ITER iterations run out or a Newton step raises the
-    residual, ValueError unless ``tol`` is positive and finite, and
-    GridMismatchError for a guess on another grid, before any evaluation.
+    residual; ValueError unless ``tol`` is positive and finite or for an
+    order not in ``interp.ORDERS``, and GridMismatchError for a guess on
+    another grid, each before any evaluation, also for a shear.
     """
     if not (tol > 0 and np.isfinite(tol)):
         raise ValueError(f"tol must be positive and finite, got {tol}")
     if guess is not None:
         _check_same_grid(phi.displacement, guess)
+    _check_order(order)
     grid = phi.grid
+    if _is_shear(phi.displacement.data):
+        return Diffeo(VectorField(grid, 0.0 - phi.displacement.data))  # +0.0 where g = 0
     g = phi.displacement.data.reshape(grid.dim, -1)
     sel = _moved_nodes(g)
-    if sel is None:
-        return identity(grid)
     g_interp = Interpolant(phi.displacement, order=order)
     x = _node_coords(grid, sel)
     if guess is None:

@@ -14,6 +14,7 @@ from eulerlab import (
     Diffeo,
     Grid,
     ScalarField,
+    SeparationSeries,
     VectorField,
     cli,
     jacobian,
@@ -661,13 +662,23 @@ class TestIllposedness:
     def test_plot_drops_non_finite_gaps(self, tmp_path):
         # an inf gap made the axis range infinite (OverflowError); inf and
         # nan points are dropped like non-positive ones
-        path = tmp_path / "gaps.svg"
-        cli.write_svg_loglog(path, {"a": ([1, 2, 3], [1.0, np.inf, 0.1]),
-                                    "b": ([1, 2, 3], [np.nan, 2.0, 0.5])}, "t")
-        svg = path.read_text()
+        svg = cli.svg_loglog({"a": ([1, 2, 3], [1.0, np.inf, 0.1]),
+                              "b": ([1, 2, 3], [np.nan, 2.0, 0.5])}, "t")
         polylines = [line for line in svg.splitlines() if "<polyline" in line]
         assert [p.count(",") for p in polylines] == [2, 2]
         assert "nan" not in svg and "inf" not in svg
+
+    def test_nothing_to_plot_writes_nothing(self, tmp_path):
+        # the csv was written before the plot raised and was left behind;
+        # every plot now renders first, also the other series' in "both"
+        out = tmp_path / "ill"
+        zero = SeparationSeries(np.array([1, 2]), np.zeros(2), np.zeros(2),
+                                metadata={"experiment": "x", "R": 0.1})
+        ok = SeparationSeries(np.array([1, 2]), np.ones(2), np.ones(2))
+        for outputs in ([(zero, "x")], [(ok, "y"), (zero, "x")]):
+            with pytest.raises(ValueError, match="nothing to plot"):
+                cli._series_outputs(outputs, out, "hash")
+            assert not out.exists()
 
     @pytest.mark.parametrize("experiment,R,s,message", [
         ("composition", "1e155", "2.5", "composition row k = 1 failed"),

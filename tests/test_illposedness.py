@@ -74,15 +74,16 @@ class TestCompositionExperiment:
         assert np.all(np.abs(sums - 0.1) < 0.02)
 
     def test_small_grid_row_raises_no_warning(self):
-        # on 16 points the strip's own inversion trips the Nyquist-content
-        # warning; the row silences it together with the compositions
+        # on 16 points the compositions trip the Nyquist-content warning
+        # (the strip's inversion interpolates nothing); the row silences it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             composition_experiment(R=0.1, k_max=2,
                                    grid=Grid(dim=2, n=16, length=TAU))
 
     def test_prefilters_only_the_row_fields(self, monkeypatch):
-        # per row: the strip displacement and nu_base; f_base never
+        # per row: nu_base only; the strip map's inverse is exact from its
+        # samples, and f_base is never composed
         built = []
         init = Interpolant.__init__
         monkeypatch.setattr(Interpolant, "__init__", lambda self, *a, **kw:
@@ -90,12 +91,14 @@ class TestCompositionExperiment:
         k_max = 3
         composition_experiment(R=0.1, k_max=k_max,
                                grid=Grid(dim=2, n=64, length=TAU))
-        assert len(built) == 2 * k_max
+        assert len(built) == k_max
 
     def test_series_reuses_what_it_holds(self, planes, monkeypatch):
-        # 4 rows at N = 128: the spectra of df_k, f_base + df_k and the
-        # strip map dphi / k follow from held ones, the first inversion
-        # iterate from the samples (27, 8 and 12 before either)
+        # 4 rows at N = 128: the spectra of df_k and f_base + df_k follow
+        # from held ones, and the strip map's inverse from its samples
+        # alone, so each row prefilters and evaluates nu_base only (27, 8
+        # and 12 before any of these; 11, 8 and 8 while invert still
+        # interpolated the strip map)
         calls = []
         at = Interpolant.at
         monkeypatch.setattr(Interpolant, "at", lambda self, p:
@@ -103,8 +106,8 @@ class TestCompositionExperiment:
         composition_experiment(R=0.1, k_max=4,
                                grid=Grid(dim=2, n=128, length=TAU))
         assert planes["rfft"] <= 11
-        assert planes["irfft"] == 8
-        assert len(calls) == 8
+        assert planes["irfft"] == 4
+        assert len(calls) == 4
 
     @pytest.mark.parametrize("n, k_max", [(64, 13), (512, 4)])
     def test_strip_maps_fix_the_base_bump(self, monkeypatch, n, k_max):

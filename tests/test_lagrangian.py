@@ -181,14 +181,27 @@ def _invert_all_nodes(phi, order, tol=1e-10, max_iter=100):
     raise AssertionError("reference inversion did not converge")
 
 
-def _strip_shear(grid, amp=0.4, r=2.0):
-    """x_1-displacement amp * b(x_2), with b a 1D bump of radius r: it
-    fixes every node outside a strip."""
-    d = np.abs(grid.coords()[1] - 0.25 * grid.length)
+def _strip_shear(grid, amp=0.4, r=2.0, axis=0):
+    """x_{axis}-displacement amp * b(x_j), with b a 1D bump of radius r
+    and x_j the first other coordinate: it fixes every node outside a
+    strip, and invert returns its exact inverse without interpolating."""
+    across = 1 if axis == 0 else 0
+    d = np.abs(grid.coords()[across] - 0.25 * grid.length)
     inside = d < r
     prof = np.where(inside, amp * np.exp(-r * r / np.where(inside, r * r - d * d, 1.0)), 0.0)
-    comps = [prof] + [np.zeros(grid.shape)] * (grid.dim - 1)
+    comps = [np.zeros(grid.shape)] * grid.dim
+    comps[axis] = prof
     return Diffeo(VectorField(grid, np.stack(comps)))
+
+
+def _strip_wave(grid):
+    """The strip shear with its profile modulated by 1 + 0.5 sin x_1 along
+    its own direction: no longer a shear, so invert iterates, but it still
+    fixes every node outside the strip and converges before any Newton
+    switch."""
+    g = _strip_shear(grid).displacement.data.copy()
+    g[0] *= 1.0 + 0.5 * np.sin(grid.coords()[0])
+    return Diffeo(VectorField(grid, g))
 
 
 def _bump_displacement(grid, amp=0.3):
@@ -259,7 +272,7 @@ def _masked_reference(f, phi, order, guess=None):
     """compose and invert gathering and scattering on a 2-D boolean mask
     of the moved nodes, with node coordinates from ``grid.coords()``: the
     bit-for-bit reference for the flat node index.  Fixed-point iterates
-    only (a strip shear converges before any Newton switch); without a
+    only (a strip map converges before any Newton switch); without a
     guess the first residual reads the samples, as in ``invert``."""
     grid = phi.grid
     g = phi.displacement.data
@@ -273,7 +286,7 @@ def _masked_reference(f, phi, order, guess=None):
     else:
         h = guess.data[:, mask]
         gh = g_interp.at(x + h)
-    while np.max(np.abs(h + gh)) > 1e-10:
+    while np.max(np.abs(h + gh), initial=0.0) > 1e-10:
         h = -gh
         gh = g_interp.at(x + h)
     out = np.zeros_like(g)
@@ -287,7 +300,7 @@ class TestFlatNodeIndex:
     @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
     def test_matches_boolean_mask_bit_for_bit(self, dim, n, order, rng):
         grid = Grid(dim=dim, n=n, length=TAU)
-        phi = _strip_shear(grid)
+        phi = _strip_wave(grid)
         f = random_div_free(grid, rng, max_xi=3.0)
         for guess in (None, VectorField(grid, 0.5 * phi.displacement.data)):
             vals, h = _masked_reference(f, phi, order, guess)
@@ -314,7 +327,7 @@ class TestGuessFreeFirstIterate:
     def test_one_evaluation_fewer_and_same_inverse(self, grid32, rng,
                                                    monkeypatch, kind, order):
         if kind == "strip":
-            phi = _strip_shear(grid32)
+            phi = _strip_wave(grid32)
         else:
             phi = Diffeo(random_div_free(grid32, rng, norm_value=0.05))
         sizes = _record_points(monkeypatch)
@@ -325,6 +338,57 @@ class TestGuessFreeFirstIterate:
         h_ref = ref.displacement.data
         assert (np.max(np.abs(got.displacement.data - h_ref))
                 <= 1e-12 * np.max(np.abs(h_ref)))
+
+
+_SHEARS = {
+    "strip-first-2d": lambda g2, g3: _strip_shear(g2),
+    "strip-last-2d": lambda g2, g3: _strip_shear(g2, axis=1),
+    "strip-first-3d": lambda g2, g3: _strip_shear(g3),
+    "strip-last-3d": lambda g2, g3: _strip_shear(g3, axis=2),
+    "shift-2d": lambda g2, g3: shift(g2, [0.9, -0.2]),
+    "shift-3d": lambda g2, g3: shift(g3, [0.9, -0.2, 2.5]),
+    "identity-2d": lambda g2, g3: identity(g2),
+    "identity-3d": lambda g2, g3: identity(g3),
+}
+
+
+@pytest.mark.filterwarnings("ignore:field has significant unpaired Nyquist")
+class TestShearInverse:
+    """A map whose displacement g is constant along every axis it moves
+    nodes in is inverted by id - g, with nothing interpolated."""
+
+    @pytest.mark.parametrize("guessed", [False, True])
+    @pytest.mark.parametrize("order", [3, 5, "fourier"])
+    @pytest.mark.parametrize("kind", list(_SHEARS))
+    def test_closed_form_without_interpolation(self, grid32, grid3d, kind,
+                                               order, guessed, monkeypatch):
+        phi = _SHEARS[kind](grid32, grid3d)
+        g = phi.displacement.data
+        guess = VectorField(phi.grid, 0.5 * g) if guessed else None
+        # invert's fixed-point iteration, forced on the moved nodes
+        _, h_ref = _masked_reference(phi.displacement, phi, order, guess)
+        built = []
+        init = Interpolant.__init__
+        monkeypatch.setattr(Interpolant, "__init__", lambda self, *a, **kw:
+                            built.append(1) or init(self, *a, **kw))
+        calls = _record_points(monkeypatch)
+        got = invert(phi, order=order, guess=guess).displacement.data
+        assert built == [] and calls == []
+        assert np.array_equal(got, 0.0 - g)
+        assert np.max(np.abs(got - h_ref)) <= 1e-14 * np.max(np.abs(g))
+
+    @pytest.mark.parametrize("order", [4, "linear"])
+    def test_order_is_checked_first(self, grid32, order):
+        # no Interpolant rejects it any more: invert checks it itself
+        for phi in (shift(grid32, [0.3, -0.1]), identity(grid32)):
+            with pytest.raises(ValueError, match="order must be"):
+                invert(phi, order=order)
+
+    def test_zeros_are_positive(self, grid32):
+        # 0.0 - g, not -g: +0.0 on fixed nodes as before, and no -0.0 in
+        # the component a strip shear leaves at zero
+        h = invert(_strip_shear(grid32)).displacement.data
+        assert not np.any(np.signbit(h) & (h == 0.0))
 
 
 class TestAllNodesMoved:
