@@ -35,8 +35,9 @@ __all__ = [
     "dexp_richardson",
 ]
 
-# spline order of each row's compose and of its invert call, which returns
-# the row's strip shear's exact inverse without interpolating
+# spline order of each row's compose and of its invert call; the row's map
+# is a strip shear, so invert returns its exact inverse and compose applies
+# that inverse line by line as a Fourier multiplier, neither interpolating
 _COMPOSITION_ORDER = 5
 
 
@@ -101,7 +102,9 @@ def composition_experiment(R: float = 0.1, k_max: int = 13, s: float = 2.5,
     would be far below grid resolution), and its support is a coordinate
     strip rather than a ball (keeps det(d phi_k) = 1 exactly, and makes
     phi_k a shear, whose inverse psi_k = id - dphi/k is exact and needs
-    no interpolation).  Rows with under-resolved df_k carry resolved = 0.
+    no interpolation, and with which a composition is a Fourier multiplier
+    on each moved line, so no row prefilters or evaluates a spline at
+    points).  Rows with under-resolved df_k carry resolved = 0.
 
     Extra columns: output_gap_sum = ||nu(f_base+df_k, phi_k) - nu(f_base,
     phi_k)||_s + ||df_k||_s, which measures the two disjointly supported
@@ -174,7 +177,10 @@ def _composition_row(f_base, dphi, k, x_star, dk: float, R: float, s: float):
     """(output_gap, output_gap_sum) of row k of the composition series, in
     a scope of its own so that its fields are freed before the next row
     allocates.  The fields built here by linear arithmetic keep their
-    operands' spectra, so the row transforms only df_k and the output gap."""
+    operands' spectra, so the row transforms only df_k and the output gap
+    on the whole grid; composing nu_base with the shear psi_k transforms
+    only the lines along the first axis that psi_k moves, and its
+    unpaired-Nyquist check reads the spectrum nu_base holds."""
     df = bump(f_base.grid, x_star, r=dk)
     df = df * (0.5 * R / sobolev_norm(df, s))
     # nu(f, id) = f: the base output is the data itself

@@ -18,6 +18,11 @@ Two families:
   per point and a contraction of the coefficients one axis at a time.
   Exact for band-limited fields; used for convergence studies.
 
+Both are separable, so on a line of nodes moved by a constant number of
+grid units either one is a Fourier multiplier of that line alone
+(``_shifted_lines``); ``lagrangian.compose`` composes with a shear that
+way.
+
 Query points are physical coordinates on the torus; any finite values are
 accepted and wrapped into [0, L) by ``fmod`` plus L where negative, the
 value ``%`` gives without the quotient it also computes.  A point with a
@@ -87,6 +92,72 @@ def _nyquist_power(grid, hat: np.ndarray) -> float:
     return total
 
 
+def _warn_nyquist(grid, hat: np.ndarray, data: np.ndarray) -> None:
+    """Warn, for the caller of the caller, when the unpaired Nyquist modes
+    of the half spectra ``hat`` carry more than _NYQUIST_WARN of the power
+    of the samples ``data`` (components first): spline interpolation of
+    them is not well defined.  By Parseval the full-lattice power is the
+    mean square of the samples."""
+    if _nyquist_power(grid, hat) > _NYQUIST_WARN * np.vdot(data, data) / grid.size:
+        warnings.warn(
+            "field has significant unpaired Nyquist content; "
+            "spline interpolation of it is not well defined",
+            stacklevel=3,
+        )
+
+
+def _bspline(order: int, x: np.ndarray) -> np.ndarray:
+    """The centred B-spline of degree ``order`` at x, by the Cox-de Boor
+    recursion on the integer knots, which combines nonnegative terms only
+    (the truncated-power sum cancels to about 2e-14 at quintic order)."""
+    y = x + 0.5 * (order + 1)  # the cardinal B-spline, supported on [0, order + 1]
+    b = [((y >= s) & (y < s + 1)).astype(np.float64) for s in range(order + 1)]
+    for q in range(1, order + 1):  # b[s] holds B_{q-1}(y - s)
+        b = [((y - s) * b[s] + (q + 1 - y + s) * b[s + 1]) / q
+             for s in range(order + 1 - q)]
+    return b[0]
+
+
+def _shifted_lines(lines: np.ndarray, t: np.ndarray, order) -> np.ndarray:
+    """The periodic interpolant of each line of samples ``lines`` (samples
+    along the last axis, lines along the one before it) at its nodes moved
+    by t grid units, one finite t per line.
+
+    The 1-D interpolant shifted by t is a circular convolution, so this is
+    the line's transform times a multiplier, at omega = 2 pi k / n, and
+    transformed back.  For a spline, on the half lattice,
+    S_t = exp(i omega [t]) sum_j beta(t - [t] - j) exp(i omega j) / symbol,
+    |j| <= order // 2 + 1 (Unser, Aldroubi & Eden 1993), real at the
+    Nyquist bin.  For ``"fourier"``, S_t = exp(i omega t) on the full
+    lattice, k = -n/2 included, and the complex result is the
+    trigonometric sum itself: lines may be complex, and the caller takes
+    the real part once every axis is done, as the sum does.  The integer
+    part [t] is split off, so that the taps cover the kernel's support
+    for any t, and the phases of integers are read from the n-th roots of
+    unity.  Lines of equal t share one multiplier.
+    """
+    n = lines.shape[-1]
+    ts, which = np.unique(t, return_inverse=True)
+    whole = np.floor(ts)
+    frac = ts - whole
+    roots = np.exp(2j * np.pi / n * np.arange(n))
+    if order == "fourier":
+        k = np.fft.fftfreq(n, 1.0 / n).astype(np.int64)
+    else:
+        k = np.arange(n // 2 + 1)
+    mult = roots[(whole.astype(np.int64)[:, None] * k) % n]
+    if order == "fourier":
+        mult *= np.exp(2j * np.pi / n * frac[:, None] * k)
+        return np.fft.ifft(np.fft.fft(lines) * mult[which])
+    j = np.arange(-(order // 2 + 1), order // 2 + 2)
+    taps = _bspline(order, frac[:, None] - j)  # (shifts, taps)
+    mult *= taps @ roots[(j[:, None] * k) % n]
+    mult /= _BSPLINE_SYMBOLS[order](2.0 * np.pi / n * k)
+    hat = np.fft.rfft(lines)
+    hat *= mult[which]
+    return np.fft.irfft(hat, n=n)
+
+
 class Interpolant:
     """Prepared interpolant of one field; evaluate with ``.at(points)``.
 
@@ -124,13 +195,7 @@ class Interpolant:
             hat = grid.rfft(data)
         else:
             hat = field._hat.reshape((-1,) + grid.xi_sq.shape)[nonzero]
-        # Parseval: the full-lattice power is the mean square of the samples
-        if _nyquist_power(grid, hat) > _NYQUIST_WARN * np.vdot(data, data) / grid.size:
-            warnings.warn(
-                "field has significant unpaired Nyquist content; "
-                "spline interpolation of it is not well defined",
-                stacklevel=2,
-            )
+        _warn_nyquist(grid, hat, data)
         hat *= _reciprocal_symbol(grid, order)
         n = grid.n
         coeffs = np.empty((len(nonzero),) + (n + 2 * p,) * grid.dim)

@@ -30,7 +30,13 @@ from .eulerian import (
     _step_count,
 )
 from .fields import jacobian
-from .interp import DEFAULT_ORDER, Interpolant, _check_order
+from .interp import (
+    DEFAULT_ORDER,
+    Interpolant,
+    _check_order,
+    _shifted_lines,
+    _warn_nyquist,
+)
 from .spectral import (
     Grid,
     MatrixField,
@@ -97,20 +103,20 @@ def shift(grid: Grid, a) -> Diffeo:
 
 
 def _moved_nodes(g: np.ndarray):
-    """Index of the nodes a displacement g, shape (dim, nodes), moves:
-    slice(None) when it moves all of them, their flat indices when it
-    fixes some, None when it fixes every node."""
+    """Index of the nodes a displacement g, shape (dim, nodes), that is
+    not a shear moves: slice(None) when it moves all of them, else their
+    flat indices (a map that fixes every node is a shear)."""
     moved = np.any(g != 0.0, axis=0)
-    if moved.all():
-        return slice(None)
-    return np.flatnonzero(moved) if moved.any() else None
+    return slice(None) if moved.all() else np.flatnonzero(moved)
 
 
 def _is_shear(g: np.ndarray) -> bool:
-    """Whether every component of the displacement samples g, shape
-    (dim,) + grid shape, is constant along each axis in which some
-    component is nonzero.  Compares g with its first slice along such an
-    axis, a broadcast view, and stops at the first axis that fails."""
+    """Whether the map id + g is a shear, which ``compose`` and ``invert``
+    treat in closed form: every component of the displacement samples g,
+    shape (dim,) + grid shape, is constant along each axis in which some
+    component is nonzero (strip shears, ``shift``, the identity).  Compares
+    g with its first slice along such an axis, a broadcast view, and stops
+    at the first axis that fails."""
     for axis in range(g.shape[0]):
         first = g[(slice(None),) * (axis + 1) + (slice(0, 1),)]
         if g[axis].any() and not (g == first).all():
@@ -130,22 +136,56 @@ def _node_coords(grid: Grid, sel) -> np.ndarray:
 def compose(f, phi: Diffeo, order=DEFAULT_ORDER):
     """Right translation R_phi f = f o phi by periodic interpolation.
 
-    Only the nodes phi moves are interpolated; at a node phi fixes (zero
-    displacement) the sample of f is copied, which is exact.  When phi
-    moves every node, the interpolated values are the result as they are.
+    A shear (``_is_shear``) moves each node along the axes it moves by a
+    displacement that is constant on the node's line along each of them,
+    and x + g(x) is a node in every other axis.  The prefilter is
+    separable, so on such a line the tensor interpolant is the line's 1-D
+    one, and f o phi is that interpolant shifted by g / h grid units: one
+    Fourier multiplier per line that moves (``interp._shifted_lines``),
+    one moved axis after the other, and the samples of every other line
+    copied.  Nothing is prefiltered or evaluated at points; the identity
+    is a copy.  A spline order warns, as ``Interpolant`` does, about the
+    unpaired Nyquist content of f when some line moves.
+    Otherwise only the nodes phi moves are interpolated; at a node phi
+    fixes (zero displacement) the sample of f is copied, which is exact.
+    When phi moves every node, the interpolated values are the result as
+    they are.  ValueError for an order not in ``interp.ORDERS``.
     """
     grid = _check_same_grid(f, phi.displacement)
+    _check_order(order)
+    if _is_shear(phi.displacement.data):
+        return _compose_shear(f, phi.displacement.data, order)
     g = phi.displacement.data.reshape(grid.dim, -1)
     sel = _moved_nodes(g)
     if isinstance(sel, slice):
         vals = Interpolant(f, order=order).at(_node_coords(grid, sel) + g)
         return type(f)(grid, vals.reshape(f.data.shape))
     vals = f.data.copy()
-    if sel is not None:
-        points = _node_coords(grid, sel) + g[:, sel]
-        flat = vals.reshape(vals.shape[:vals.ndim - grid.dim] + (-1,))
-        flat[..., sel] = Interpolant(f, order=order).at(points)
+    points = _node_coords(grid, sel) + g[:, sel]
+    flat = vals.reshape(vals.shape[:vals.ndim - grid.dim] + (-1,))
+    flat[..., sel] = Interpolant(f, order=order).at(points)
     return type(f)(grid, vals)
+
+
+def _compose_shear(f, g: np.ndarray, order):
+    """f o (id + g) for the displacement samples g of a shear (see
+    ``compose``).  The Nyquist check reads the spectrum f holds, else one
+    ``Grid.rfft`` not cached on f, as ``Interpolant`` does."""
+    grid = f.grid
+    lead = f.data.ndim - grid.dim
+    # g[axis] is constant along axis: one shift, in grid units, per line
+    shifts = [g[axis].take(0, axis=axis) / grid.spacing for axis in range(grid.dim)]
+    if order != "fourier" and any(t.any() for t in shifts):  # as Interpolant warns
+        _warn_nyquist(grid, grid.rfft(f.data) if f._hat is None else f._hat, f.data)
+    # the trigonometric sum is complex until every axis is done
+    vals = f.data.astype(np.complex128 if order == "fourier" else np.float64)
+    for axis, t in enumerate(shifts):
+        moved = t != 0.0
+        if moved.any():
+            lines = np.moveaxis(vals, lead + axis, -1)
+            sel = (Ellipsis, moved, slice(None))
+            lines[sel] = _shifted_lines(lines[sel], t[moved], order)
+    return type(f)(grid, np.ascontiguousarray(vals.real))
 
 
 def compose_diffeo(outer: Diffeo, inner: Diffeo, order=DEFAULT_ORDER) -> Diffeo:

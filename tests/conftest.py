@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from eulerlab import Grid
+from eulerlab.interp import Interpolant
 
 
 class FullLattice:
@@ -70,6 +71,12 @@ class FullLattice:
         b_hat += np.where(low, 0.0, -1.0 / safe) * fft(trace)
         b = ifft(b_hat)
         return np.stack([ifft(self.deriv(fft(b), j)) for j in range(dim)])
+
+
+def compose_all_nodes(f, phi, order):
+    """Reference right translation f o phi: ``Interpolant`` evaluates f at
+    phi(x) on every node."""
+    return Interpolant(f, order=order).at(phi.positions())
 
 
 class TracedPeak:

@@ -19,7 +19,10 @@ from eulerlab import (
     sobolev_norm,
     solution_map_experiment,
 )
+from eulerlab import illposedness
 from eulerlab.interp import Interpolant
+
+from conftest import compose_all_nodes
 
 TAU = 2.0 * np.pi
 
@@ -82,8 +85,9 @@ class TestCompositionExperiment:
                                    grid=Grid(dim=2, n=16, length=TAU))
 
     def test_prefilters_only_the_row_fields(self, monkeypatch):
-        # per row: nu_base only; the strip map's inverse is exact from its
-        # samples, and f_base is never composed
+        # no row prefilters: the strip map's inverse is exact from its
+        # samples, nu_base is composed with that shear line by line, and
+        # f_base is never composed
         built = []
         init = Interpolant.__init__
         monkeypatch.setattr(Interpolant, "__init__", lambda self, *a, **kw:
@@ -91,14 +95,16 @@ class TestCompositionExperiment:
         k_max = 3
         composition_experiment(R=0.1, k_max=k_max,
                                grid=Grid(dim=2, n=64, length=TAU))
-        assert len(built) == k_max
+        assert len(built) == 0
 
     def test_series_reuses_what_it_holds(self, planes, monkeypatch):
         # 4 rows at N = 128: the spectra of df_k and f_base + df_k follow
-        # from held ones, and the strip map's inverse from its samples
-        # alone, so each row prefilters and evaluates nu_base only (27, 8
-        # and 12 before any of these; 11, 8 and 8 while invert still
-        # interpolated the strip map)
+        # from held ones, the strip map's inverse from its samples alone,
+        # and nu_base o psi_k from 1-D line transforms, so no row
+        # prefilters or evaluates anything (rfft, irfft and at: 27, 8 and
+        # 12 before any of these; 11, 8 and 8 while invert still
+        # interpolated the strip map; 11, 4 and 4 while compose still
+        # prefiltered and evaluated nu_base)
         calls = []
         at = Interpolant.at
         monkeypatch.setattr(Interpolant, "at", lambda self, p:
@@ -106,15 +112,13 @@ class TestCompositionExperiment:
         composition_experiment(R=0.1, k_max=4,
                                grid=Grid(dim=2, n=128, length=TAU))
         assert planes["rfft"] <= 11
-        assert planes["irfft"] == 4
-        assert len(calls) == 4
+        assert planes["irfft"] == 0
+        assert len(calls) == 0
 
     @pytest.mark.parametrize("n, k_max", [(64, 13), (512, 4)])
     def test_strip_maps_fix_the_base_bump(self, monkeypatch, n, k_max):
         # the rows take nu(f_base, phi_k) = f_base: each inverse strip map
         # psi_k must fix every node where the base bump is nonzero
-        from eulerlab import illposedness
-
         bumps, maps = [], []
         bump, invert = illposedness.bump, illposedness.invert
         monkeypatch.setattr(illposedness, "bump", lambda *a, **kw:
@@ -134,6 +138,36 @@ class TestCompositionExperiment:
                 got = compose(f_base, psi, order=illposedness._COMPOSITION_ORDER)
             assert (np.max(np.abs(got.data - f_base.data))
                     <= 1e-14 * np.max(np.abs(f_base.data)))
+
+    def test_row_compose_matches_interpolant(self, monkeypatch):
+        # each row composes nu_base with its strip shear line by line;
+        # Interpolant evaluates the same spline at every node
+        rows = []
+        comp = illposedness.compose
+        monkeypatch.setattr(illposedness, "compose", lambda f, phi, order:
+                            rows.append((f, phi, comp(f, phi, order))) or rows[-1][2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            composition_experiment(R=0.1, k_max=4,
+                                   grid=Grid(dim=2, n=512, length=TAU))
+            for f, phi, got in (rows[0], rows[3]):  # k = 1 and 4
+                ref = compose_all_nodes(f, phi, illposedness._COMPOSITION_ORDER)
+                assert (np.max(np.abs(got.data - ref))
+                        <= 1e-14 * np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("n, k_max", [(128, 5), (512, 3)])
+    def test_series_matches_all_node_interpolation(self, monkeypatch, n, k_max):
+        grid = Grid(dim=2, n=n, length=TAU)
+        got = composition_experiment(R=0.1, k_max=k_max, grid=grid)
+        monkeypatch.setattr(illposedness, "compose", lambda f, phi, order: type(f)(
+            f.grid, compose_all_nodes(f, phi, order)))
+        ref = composition_experiment(R=0.1, k_max=k_max, grid=grid)
+        assert np.array_equal(got.input_gap, ref.input_gap)
+        for name in ("resolved", "trusted"):
+            assert np.array_equal(got.extras[name], ref.extras[name])
+        for a, b in ((got.output_gap, ref.output_gap),
+                     (got.extras["output_gap_sum"], ref.extras["output_gap_sum"])):
+            assert np.max(np.abs(a - b) / b) <= 1e-12
 
     def test_metadata_recorded(self, series):
         assert series.metadata["experiment"] == "composition"

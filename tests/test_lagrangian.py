@@ -1,6 +1,7 @@
 """Diffeomorphisms, composition, inversion, geodesic flow, pullbacks."""
 
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from eulerlab import (
     identity,
     invert,
     jacobian,
+    MatrixField,
     random_div_free,
     random_scalar,
     ScalarField,
@@ -41,7 +43,7 @@ from eulerlab import (
 from eulerlab import lagrangian
 from eulerlab.interp import Interpolant
 
-from conftest import FullLattice, TracedPeak
+from conftest import FullLattice, TracedPeak, compose_all_nodes
 
 TAU = 2.0 * np.pi
 
@@ -53,6 +55,15 @@ def _record_points(monkeypatch):
     monkeypatch.setattr(Interpolant, "at", lambda self, p: sizes.append(
         int(np.prod(np.shape(p)[1:]))) or at(self, p))
     return sizes
+
+
+def _record_builds(monkeypatch):
+    """Patch Interpolant.__init__ to record each construction."""
+    built = []
+    init = Interpolant.__init__
+    monkeypatch.setattr(Interpolant, "__init__", lambda self, *a, **kw:
+                        built.append(1) or init(self, *a, **kw))
+    return built
 
 
 class TestDiffeoBasics:
@@ -147,11 +158,6 @@ class TestInversion:
         assert calls == []
 
 
-def _compose_all_nodes(f, phi, order):
-    """Reference right translation: interpolate f at phi(x) on every node."""
-    return Interpolant(f, order=order).at(phi.positions())
-
-
 def _invert_all_nodes(phi, order, tol=1e-10, max_iter=100):
     """Reference inversion: the damped fixed point h = -g(x + h), with the
     Newton switch, iterated on every node."""
@@ -230,7 +236,7 @@ class TestMovedNodes:
         assert 0 < np.count_nonzero(moved) < grid.size
         for f in (random_scalar(grid, rng, max_xi=3.0),
                   random_div_free(grid, rng, max_xi=3.0)):
-            ref = _compose_all_nodes(f, phi, order)
+            ref = compose_all_nodes(f, phi, order)
             got = compose(f, phi, order=order).data
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
         ref = _invert_all_nodes(phi, order)
@@ -367,11 +373,7 @@ class TestShearInverse:
         guess = VectorField(phi.grid, 0.5 * g) if guessed else None
         # invert's fixed-point iteration, forced on the moved nodes
         _, h_ref = _masked_reference(phi.displacement, phi, order, guess)
-        built = []
-        init = Interpolant.__init__
-        monkeypatch.setattr(Interpolant, "__init__", lambda self, *a, **kw:
-                            built.append(1) or init(self, *a, **kw))
-        calls = _record_points(monkeypatch)
+        built, calls = _record_builds(monkeypatch), _record_points(monkeypatch)
         got = invert(phi, order=order, guess=guess).displacement.data
         assert built == [] and calls == []
         assert np.array_equal(got, 0.0 - g)
@@ -391,6 +393,117 @@ class TestShearInverse:
         assert not np.any(np.signbit(h) & (h == 0.0))
 
 
+def _band_limited(grid, rng, kind):
+    """A band-limited scalar, vector or matrix field."""
+    if kind == "scalar":
+        return random_scalar(grid, rng, max_xi=3.0)
+    if kind == "vector":
+        return random_div_free(grid, rng, max_xi=3.0)
+    return MatrixField(grid, np.stack([random_div_free(grid, rng, max_xi=3.0).data
+                                       for _ in range(grid.dim)]))
+
+
+@pytest.mark.filterwarnings("ignore:field has significant unpaired Nyquist")
+class TestShearCompose:
+    """compose applies a shear as one Fourier multiplier per line it
+    moves: nothing is prefiltered or evaluated at points."""
+
+    @pytest.mark.parametrize("field", ["scalar", "vector", "matrix"])
+    @pytest.mark.parametrize("order", [3, 5, "fourier"])
+    @pytest.mark.parametrize("kind", list(_SHEARS))
+    def test_line_multipliers_without_interpolation(self, grid32, grid3d, kind,
+                                                    order, field, rng,
+                                                    monkeypatch):
+        phi = _SHEARS[kind](grid32, grid3d)
+        f = _band_limited(phi.grid, rng, field)
+        ref = compose_all_nodes(f, phi, order)
+        built, calls = _record_builds(monkeypatch), _record_points(monkeypatch)
+        got = compose(f, phi, order=order).data
+        assert built == [] and calls == []
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+        if kind.startswith("identity"):
+            assert np.array_equal(got, f.data)
+
+    @pytest.mark.parametrize("order", [3, 5, "fourier"])
+    @pytest.mark.parametrize("t", [65.0, -65.0, 65.3, -65.3, -0.3, -2.7])
+    def test_far_and_negative_shifts(self, t, order, rng):
+        # h = 1/4, so g / h is t exactly on the shift and at the strip's
+        # peak; the integer part lies far outside the kernel's support
+        grid = Grid(dim=2, n=128, length=32.0)
+        f = random_scalar(grid, rng)
+        for phi in (shift(grid, [t * grid.spacing, 0.0]),
+                    _strip_shear(grid, amp=t * grid.spacing, r=4.0, axis=1)):
+            ref = compose_all_nodes(f, phi, order)
+            got = compose(f, phi, order=order).data
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("order", [3, 5, "fourier"])
+    @pytest.mark.parametrize("m", [1, -3, 65, -65])
+    def test_integer_shift_is_a_roll(self, m, order, rng):
+        grid = Grid(dim=2, n=128, length=32.0)  # h = 1/4: g / h is m exactly
+        f = random_div_free(grid, rng)
+        got = compose(f, shift(grid, [0.0, m * grid.spacing]), order=order).data
+        assert (np.max(np.abs(got - np.roll(f.data, -m, axis=2)))
+                <= 1e-15 * np.max(np.abs(f.data)))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_fourier_keeps_the_full_lattice_nyquist_sign(self, dim):
+        # the mode unpaired in every axis, shifted in every axis: each
+        # axis's real part alone would give a product of cosines
+        grid = Grid(dim=dim, n=8, length=TAU)
+        corner = functools.reduce(np.add.outer, [np.arange(grid.n)] * dim)
+        f = ScalarField(grid, (-1.0) ** corner)
+        phi = shift(grid, np.array([0.3, 0.4, -1.7][:dim]) * grid.spacing)
+        ref = compose_all_nodes(f, phi, "fourier")
+        got = compose(f, phi, order="fourier").data
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("order", [4, "linear"])
+    def test_order_is_checked_first(self, grid32, rng, order):
+        f = random_scalar(grid32, rng)
+        for phi in (shift(grid32, [0.3, -0.1]), identity(grid32)):
+            with pytest.raises(ValueError, match="order must be"):
+                compose(f, phi, order=order)
+
+
+def _with_nyquist(grid, amp, held):
+    """A band-limited scalar field plus amp times the unpaired Nyquist mode
+    (-1)^i of the first axis, holding its spectrum when ``held``."""
+    f = random_scalar(grid, np.random.default_rng(7), max_xi=3.0).data
+    alt = (-1.0) ** np.arange(grid.n)
+    f = ScalarField(grid, f + amp * alt.reshape((-1,) + (1,) * (grid.dim - 1)))
+    if held:
+        f.hat  # the property transforms once and holds the spectrum
+    return f
+
+
+class TestShearComposeWarning:
+    """A spline compose with a shear warns about unpaired Nyquist content
+    when some line moves, under the condition ``Interpolant`` warns on."""
+
+    @pytest.mark.parametrize("held", [False, True])
+    @pytest.mark.parametrize("order", [3, 5, "fourier"])
+    @pytest.mark.parametrize("amp", [0.0, 1e-5, 3e-5, 1e-4, 0.1])
+    def test_warns_exactly_when_interpolant_does(self, grid32, amp, order, held):
+        f = _with_nyquist(grid32, amp, held)
+        with warnings.catch_warnings(record=True) as ref:
+            warnings.simplefilter("always")
+            Interpolant(f, order=order)
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            compose(f, _strip_shear(grid32), order=order)
+        assert [str(w.message) for w in got] == [str(w.message) for w in ref]
+
+    def test_strip_shear_warns(self, grid32):
+        with pytest.warns(UserWarning, match="unpaired Nyquist"):
+            compose(_with_nyquist(grid32, 0.1, False), _strip_shear(grid32), order=5)
+
+    def test_identity_does_not_warn(self, grid32):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            compose(_with_nyquist(grid32, 0.1, False), identity(grid32), order=5)
+
+
 class TestAllNodesMoved:
     """When the map moves every node, compose returns the interpolated
     values and invert the iterate as they are, without a scatter."""
@@ -403,7 +516,7 @@ class TestAllNodesMoved:
         assert np.all(np.any(phi.displacement.data != 0.0, axis=0))
         f = random_div_free(grid, rng, max_xi=3.0)
         assert np.array_equal(compose(f, phi, order=order).data,
-                              _compose_all_nodes(f, phi, order))
+                              compose_all_nodes(f, phi, order))
         ref = _invert_all_nodes(phi, order)
         got = invert(phi, order=order).displacement.data
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
