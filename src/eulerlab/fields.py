@@ -165,25 +165,41 @@ def _check_support(grid: Grid, center, r: float) -> np.ndarray:
     return center % grid.length
 
 
-def _torus_dist_sq(grid: Grid, center: np.ndarray) -> np.ndarray:
-    """Squared periodic distance to ``center`` on the grid; each axis's
-    distance is taken on the 1-D axis and broadcast into the sum."""
-    x = np.arange(grid.n) * grid.spacing
-    d2 = np.zeros(grid.shape)
-    for j in range(grid.dim):
-        d = np.abs(x - center[j])
-        d = np.minimum(d, grid.length - d)
-        d2 += (d * d).reshape((-1,) + (1,) * (grid.dim - 1 - j))
+def _axis_dist(grid: Grid, c: float) -> np.ndarray:
+    """Periodic distance to the coordinate c of the nodes of one axis,
+    ``arange(n) * spacing``."""
+    d = np.abs(np.arange(grid.n) * grid.spacing - c)
+    return np.minimum(d, grid.length - d)
+
+
+def _sum_sq(dists) -> np.ndarray:
+    """Outer sum of the squares of the 1-D arrays ``dists``, one per axis,
+    accumulated from zeros in axis order."""
+    d2 = np.zeros(tuple(len(d) for d in dists))
+    for j, d in enumerate(dists):
+        d2 += (d * d).reshape((-1,) + (1,) * (len(dists) - 1 - j))
     return d2
 
 
 def bump(grid: Grid, center, r: float, amplitude: float = 1.0) -> ScalarField:
-    """C^inf bump a * exp(-r^2/(r^2 - |y - x|^2)) on |y - x| < r, 0 outside."""
+    """C^inf bump a * exp(-r^2/(r^2 - |y - x|^2)) on |y - x| < r, 0 outside.
+
+    The expression is evaluated only on the box of nodes within r of x
+    along every axis (d_j^2 < r^2 as computed: the sum of squares, added
+    in the same order, is no smaller than any of its terms), a box that
+    may wrap across the periodic seam; every other node is 0.  Each node
+    of the box gets the expression it gets on the whole grid.
+    """
     center = _check_support(grid, center, r)
-    d2 = _torus_dist_sq(grid, center)
-    inside = d2 < r * r
+    r2 = r * r
+    dists = [_axis_dist(grid, c) for c in center]
+    box = [np.flatnonzero(d * d < r2) for d in dists]
+    d2 = _sum_sq([d[i] for d, i in zip(dists, box)])
+    inside = d2 < r2
+    vals_box = np.zeros(d2.shape)
+    vals_box[inside] = amplitude * np.exp(-r2 / (r2 - d2[inside]))
     vals = np.zeros(grid.shape)
-    vals[inside] = amplitude * np.exp(-r * r / (r * r - d2[inside]))
+    vals[np.ix_(*box)] = vals_box
     return ScalarField(grid, vals)
 
 
@@ -207,7 +223,7 @@ def plateau(grid: Grid, center, r_flat: float, r: float,
     if not 0 < r_flat < r:
         raise ValueError("need 0 < r_flat < r")
     center = _check_support(grid, center, r)
-    d = np.sqrt(_torus_dist_sq(grid, center))
+    d = np.sqrt(_sum_sq([_axis_dist(grid, c) for c in center]))
     return ScalarField(grid, amplitude * _smooth_step((r - d) / (r - r_flat)))
 
 

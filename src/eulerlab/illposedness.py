@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eulerian import BlowUpError, StepperConfig, _step_count, solve
-from .fields import _smooth_step, bump, div_free_bump, vorticity
+from .fields import _axis_dist, _smooth_step, bump, div_free_bump, vorticity
 from .lagrangian import Diffeo, GeodesicConfig, compose, exp_map, invert
 from .spectral import Grid, VectorField, chi_cutoff, sobolev_norm
 
@@ -37,7 +37,10 @@ __all__ = [
 
 # spline order of each row's compose and of its invert call; the row's map
 # is a strip shear, so invert returns its exact inverse and compose applies
-# that inverse line by line as a Fourier multiplier, neither interpolating
+# that inverse line by line as a Fourier multiplier, neither interpolating.
+# The composed field is df_k alone: the base bump f_base, off every line
+# the shear moves, would come out of compose as it went in and cancel
+# from the gap, so no row forms it
 _COMPOSITION_ORDER = 5
 
 
@@ -74,10 +77,13 @@ class SeparationSeries:
 
 def _axis_plateau(grid: Grid, axis: int, center: float, r_flat: float,
                   r_out: float) -> np.ndarray:
-    """1D plateau in coordinate `axis`: 1 inside r_flat, 0 outside r_out."""
-    d = np.abs(grid.coords()[axis] - center)
-    d = np.minimum(d, grid.length - d)
-    return _smooth_step((r_out - d) / (r_out - r_flat))
+    """1D plateau in coordinate `axis`: 1 inside r_flat, 0 outside r_out.
+    The step is evaluated on the 1-D axis and returned as a read-only
+    broadcast view of grid shape."""
+    d = _axis_dist(grid, center)
+    prof = _smooth_step((r_out - d) / (r_out - r_flat))
+    return np.broadcast_to(prof.reshape((-1,) + (1,) * (grid.dim - 1 - axis)),
+                           grid.shape)
 
 
 def composition_experiment(R: float = 0.1, k_max: int = 13, s: float = 2.5,
@@ -108,11 +114,17 @@ def composition_experiment(R: float = 0.1, k_max: int = 13, s: float = 2.5,
 
     Extra columns: output_gap_sum = ||nu(f_base+df_k, phi_k) - nu(f_base,
     phi_k)||_s + ||df_k||_s, which measures the two disjointly supported
-    halves separately and equals R up to interpolation error; here
-    nu(f_base, phi_k) is f_base itself, since the box check keeps the
-    strip, and so every node phi_k moves, off the base bump's support.
+    halves separately and equals R up to interpolation error.
     resolved / trusted are resolution flags (>= 4 and >= 8 cells per bump
     radius).
+
+    The base point cancels, so f_base (a bump of radius r_base = 1 at
+    (L/4, 3L/4)) is never built.  The box check keeps the strip, and so
+    every line phi_k moves, off f_base's support: there f_base + df_k is
+    df_k, and on every other line compose copies the samples.  So
+    nu(f_base, phi_k) is f_base itself, and nu(f_base + df_k, phi_k) -
+    (f_base + df_k) is compose(df_k, psi_k) - df_k sample for sample,
+    which is what the rows compute.
     """
     if grid is None:
         grid = Grid(dim=2, n=1024, length=2.0 * np.pi)
@@ -124,16 +136,15 @@ def composition_experiment(R: float = 0.1, k_max: int = 13, s: float = 2.5,
         raise ValueError(f"k_max must be >= 2 for an input-gap slope, got {k_max}")
     L = grid.length
     x_star = np.array([0.25 * L, 0.25 * L])
-    x_base = np.array([0.25 * L, 0.75 * L])
     strip_flat, strip_out, r_base = 0.4, 1.0, 1.0
+    # the base bump sits at (L/4, 3L/4): half a box, along the axis the
+    # strip varies in, from the strip's centre line
     if strip_out + r_base >= 0.5 * L:
         raise ValueError(
             f"box length {L} too small: the shear strip (half-width "
             f"{strip_out}) and the base bump (radius {r_base}) must not overlap"
         )
 
-    f_base = bump(grid, x_base, r=r_base)
-    f_base = f_base * (1.0 / sobolev_norm(f_base, s))
     # unit-amplitude localized translation field, constant on the strip
     prof = M * _axis_plateau(grid, 1, x_star[1], strip_flat, strip_out)
     dphi = VectorField(grid, np.stack([prof, np.zeros(grid.shape)]))
@@ -153,8 +164,8 @@ def composition_experiment(R: float = 0.1, k_max: int = 13, s: float = 2.5,
         try:
             for i, k in enumerate(ks):
                 dk = delta1 / k
-                out_gap[i], out_sum[i] = _composition_row(f_base, dphi, k,
-                                                          x_star, dk, R, s)
+                out_gap[i], out_sum[i] = _composition_row(dphi, k, x_star,
+                                                          dk, R, s)
                 if not (np.isfinite(out_gap[i]) and np.isfinite(out_sum[i])):
                     raise ValueError("its H^s norms pass the float range")
                 in_gap[i] = dphi_norm / k
@@ -173,25 +184,24 @@ def composition_experiment(R: float = 0.1, k_max: int = 13, s: float = 2.5,
     )
 
 
-def _composition_row(f_base, dphi, k, x_star, dk: float, R: float, s: float):
+def _composition_row(dphi, k, x_star, dk: float, R: float, s: float):
     """(output_gap, output_gap_sum) of row k of the composition series, in
     a scope of its own so that its fields are freed before the next row
-    allocates.  The fields built here by linear arithmetic keep their
-    operands' spectra, so the row transforms only df_k and the output gap
-    on the whole grid; composing nu_base with the shear psi_k transforms
-    only the lines along the first axis that psi_k moves, and its
-    unpaired-Nyquist check reads the spectrum nu_base holds."""
-    df = bump(f_base.grid, x_star, r=dk)
+    allocates.  The base bump cancels (see ``composition_experiment``), so
+    the row composes df_k alone: nu(f_base + df_k, phi_k) - (f_base + df_k)
+    is df_k o psi_k - df_k.  The fields built here by linear arithmetic
+    keep their operands' spectra, so the row transforms only df_k and the
+    output gap on the whole grid; composing df_k with the shear psi_k
+    transforms only the nonzero lines along the first axis that psi_k
+    moves, and its unpaired-Nyquist check reads the spectrum df_k holds."""
+    df = bump(dphi.grid, x_star, r=dk)
     df = df * (0.5 * R / sobolev_norm(df, s))
-    # nu(f, id) = f: the base output is the data itself
-    nu_base = f_base + df
     # samples only: invert returns the strip shear's inverse from them
     psi_k = invert(Diffeo(VectorField(dphi.grid, dphi.data * (1.0 / k))),
                    order=_COMPOSITION_ORDER)
-    gap = compose(nu_base, psi_k, order=_COMPOSITION_ORDER) - nu_base
+    gap = compose(df, psi_k, order=_COMPOSITION_ORDER) - df
     out_gap = sobolev_norm(gap, s)
-    # nu(f_base, phi_k) = f_base: by the box check psi_k fixes every node
-    # of the base bump's support, so nu_pert - f_base = gap + df, which
+    # nu(f_base, phi_k) = f_base, so nu_pert - f_base = gap + df, which
     # keeps the spectra the two norms left on gap and df
     half_a = gap + df
     return out_gap, sobolev_norm(half_a, s) + sobolev_norm(df, s)

@@ -121,7 +121,8 @@ def _bspline(order: int, x: np.ndarray) -> np.ndarray:
 def _shifted_lines(lines: np.ndarray, t: np.ndarray, order) -> np.ndarray:
     """The periodic interpolant of each line of samples ``lines`` (samples
     along the last axis, lines along the one before it) at its nodes moved
-    by t grid units, one finite t per line.
+    by t grid units, one finite t per line, written over ``lines``, which
+    is returned.
 
     The 1-D interpolant shifted by t is a circular convolution, so this is
     the line's transform times a multiplier, at omega = 2 pi k / n, and
@@ -135,6 +136,13 @@ def _shifted_lines(lines: np.ndarray, t: np.ndarray, order) -> np.ndarray:
     part [t] is split off, so that the taps cover the kernel's support
     for any t, and the phases of integers are read from the n-th roots of
     unity.  Lines of equal t share one multiplier.
+
+    An identically zero line shifts to zeros: it is kept as it is and
+    never transformed.  The multipliers still span the distinct t of
+    every line, zero ones included, so that they do not depend on which
+    lines are zero: a single shift would make the product of taps and
+    roots a matrix-vector product, which numpy rounds differently from
+    a row of a matrix product.
     """
     n = lines.shape[-1]
     ts, which = np.unique(t, return_inverse=True)
@@ -146,16 +154,20 @@ def _shifted_lines(lines: np.ndarray, t: np.ndarray, order) -> np.ndarray:
     else:
         k = np.arange(n // 2 + 1)
     mult = roots[(whole.astype(np.int64)[:, None] * k) % n]
+    live = lines.any(axis=-1)
+    which = np.broadcast_to(which, live.shape)[live]
     if order == "fourier":
         mult *= np.exp(2j * np.pi / n * frac[:, None] * k)
-        return np.fft.ifft(np.fft.fft(lines) * mult[which])
+        lines[live] = np.fft.ifft(np.fft.fft(lines[live]) * mult[which])
+        return lines
     j = np.arange(-(order // 2 + 1), order // 2 + 2)
     taps = _bspline(order, frac[:, None] - j)  # (shifts, taps)
     mult *= taps @ roots[(j[:, None] * k) % n]
     mult /= _BSPLINE_SYMBOLS[order](2.0 * np.pi / n * k)
-    hat = np.fft.rfft(lines)
+    hat = np.fft.rfft(lines[live])
     hat *= mult[which]
-    return np.fft.irfft(hat, n=n)
+    lines[live] = np.fft.irfft(hat, n=n)
+    return lines
 
 
 class Interpolant:

@@ -141,11 +141,12 @@ def compose(f, phi: Diffeo, order=DEFAULT_ORDER):
     and x + g(x) is a node in every other axis.  The prefilter is
     separable, so on such a line the tensor interpolant is the line's 1-D
     one, and f o phi is that interpolant shifted by g / h grid units: one
-    Fourier multiplier per line that moves (``interp._shifted_lines``),
-    one moved axis after the other, and the samples of every other line
-    copied.  Nothing is prefiltered or evaluated at points; the identity
-    is a copy.  A spline order warns, as ``Interpolant`` does, about the
-    unpaired Nyquist content of f when some line moves.
+    Fourier multiplier per nonzero line that moves
+    (``interp._shifted_lines``), one moved axis after the other, and the
+    samples of every other line copied.  Nothing is prefiltered or
+    evaluated at points; the identity is a copy.  A spline order warns, as
+    ``Interpolant`` does, about the unpaired Nyquist content of f when
+    some line moves.
     Otherwise only the nodes phi moves are interpolated; at a node phi
     fixes (zero displacement) the sample of f is copied, which is exact.
     When phi moves every node, the interpolated values are the result as

@@ -541,6 +541,25 @@ class TestExitCodeContract:
         assert code != EXIT_CONFIG or not out.exists()
 
     @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(experiment=st.sampled_from(["solution-map", "both"]),
+           T=_edge_or_log_uniform(_TIME_EDGES),
+           dt=_edge_or_log_uniform(_TIME_EDGES))
+    def test_illposedness_horizon_and_step(self, tmp_path_factory, experiment,
+                                           T, dt):
+        # as for simulate, a valid run of more than 8 steps per solve is a
+        # long run, not a contract break
+        valid = T > 0 and dt > 0 and np.isfinite(T) and np.isfinite(dt)
+        assume(not (valid and 8.5 < T / dt < np.inf))
+        out = tmp_path_factory.mktemp("contract") / "o"
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = run(["illposedness", "--experiment", experiment, "--N", "16",
+                        "--kmax", "2", f"--T={T!r}", f"--dt={dt!r}",
+                        "--out", out])
+        assert code in (EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_NUMERIC)
+        assert code != EXIT_CONFIG or not out.exists()
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
     @given(s=st.just(2.5) | _edge_or_log_uniform(_EDGES),
            length=st.just(TAU) | _edge_or_log_uniform(_EDGES),
            seed=st.integers(-2**70, 2**70),

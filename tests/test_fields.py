@@ -29,6 +29,7 @@ from eulerlab import (
     taylor_green,
     vorticity,
 )
+from eulerlab import fields
 from eulerlab.fields import _mollifier_profile
 
 from conftest import FullLattice
@@ -125,6 +126,20 @@ class TestAdvection:
         assert np.max(np.abs(a.data - expect)) < 1e-11
 
 
+def _full_plane_bump(grid, center, r, amp):
+    """The bump's expression evaluated on every node of the grid."""
+    x = np.arange(grid.n) * grid.spacing
+    d2 = np.zeros(grid.shape)
+    for xj, cj in zip(np.meshgrid(*([x] * grid.dim), indexing="ij"),
+                      center % grid.length):
+        d = np.abs(xj - cj)
+        d = np.minimum(d, grid.length - d)
+        d2 += d * d
+    inside = d2 < r * r
+    return np.where(inside, amp * np.exp(-r * r / np.where(inside, r * r - d2, 1.0)),
+                    0.0)
+
+
 class TestBumps:
     def test_bump_support_and_positivity(self, grid32):
         f = bump(grid32, (np.pi, np.pi), r=1.0)
@@ -133,21 +148,38 @@ class TestBumps:
         assert np.max(np.abs(f.data[outside])) == 0.0
         assert f.data.max() == pytest.approx(np.exp(-1.0))  # peak a*e^{-1}
 
+    @pytest.mark.parametrize("radius", ["below-a-cell", "few-cells", "half-box"])
+    @pytest.mark.parametrize("centre", ["node", "between", "seam", "near-edge"])
     @pytest.mark.parametrize("dim,n", [(2, 64), (3, 16)])
-    def test_bump_matches_meshgrid_formula(self, dim, n):
-        # a centre near the box edge: the support wraps around
+    def test_bump_matches_meshgrid_formula(self, dim, n, centre, radius):
+        # the support box may be empty, one node, wrap across the seam or
+        # span nearly the whole box
         grid = Grid(dim=dim, n=n, length=TAU)
-        center, r, amp = np.array([0.02, TAU - 0.03, 3.1][:dim]), 1.7, 0.8
-        x = np.arange(n) * grid.spacing
-        d2 = np.zeros(grid.shape)
-        for xj, cj in zip(np.meshgrid(*([x] * dim), indexing="ij"), center):
-            d = np.abs(xj - cj)
-            d = np.minimum(d, grid.length - d)
-            d2 += d * d
-        inside = d2 < r * r
-        ref = np.where(inside, amp * np.exp(-r * r / np.where(inside, r * r - d2, 1.0)),
-                       0.0)
-        assert np.array_equal(bump(grid, center, r, amplitude=amp).data, ref)
+        h, amp = grid.spacing, 0.8
+        center = {"node": h * np.array([5.0, 7.0, 3.0]),
+                  "between": h * np.array([5.5, 7.25, 3.6]),
+                  "seam": h * np.array([0.3, n - 0.4, -0.2]),
+                  "near-edge": np.array([0.02, TAU - 0.03, 3.1])}[centre][:dim]
+        # 3.02 cells: from a centre on a node, the box's edge nodes lie
+        # inside by a hair and carry values near exp(-76)
+        r = {"below-a-cell": 0.45 * h, "few-cells": 3.02 * h,
+             "half-box": 0.5 * TAU * (1.0 - 1e-12)}[radius]
+        got = bump(grid, center, r, amplitude=amp).data
+        assert np.array_equal(got, _full_plane_bump(grid, center, r, amp))
+        if radius == "below-a-cell":  # zero nodes inside, or the nearest one
+            assert np.count_nonzero(got) == (centre in ("node", "near-edge"))
+
+    @pytest.mark.parametrize("modulation", [0.0, 3.0])
+    @pytest.mark.parametrize("dim,n,r", [(2, 64, 0.8), (2, 64, 3.0), (3, 16, 1.2)])
+    def test_div_free_bump_matches_full_plane_bump(self, dim, n, r, modulation,
+                                                   monkeypatch):
+        grid = Grid(dim=dim, n=n, length=TAU)
+        center = np.array([0.1, TAU - 0.2, 2.0])[:dim]
+        got = div_free_bump(grid, center, r=r, modulation=modulation).data
+        monkeypatch.setattr(fields, "bump", lambda g, c, r: ScalarField(
+            g, _full_plane_bump(g, np.asarray(c), r, 1.0)))
+        ref = div_free_bump(grid, center, r=r, modulation=modulation).data
+        assert np.array_equal(got, ref)
 
     def test_bump_rejects_oversize_radius(self, grid16):
         with pytest.raises(ValueError):

@@ -7,19 +7,24 @@ import pytest
 
 from eulerlab import (
     BlowUpError,
+    Diffeo,
     GeodesicConfig,
     Grid,
     SeparationSeries,
+    VectorField,
+    bump,
     compose,
     composition_experiment,
     dexp_fd,
     dexp_richardson,
+    invert,
     random_div_free,
     scaling_check,
     sobolev_norm,
     solution_map_experiment,
 )
 from eulerlab import illposedness
+from eulerlab.fields import _smooth_step
 from eulerlab.interp import Interpolant
 
 from conftest import compose_all_nodes
@@ -63,6 +68,39 @@ def series():
                                   grid=Grid(dim=2, n=256, length=TAU))
 
 
+def _row_with_base(dphi, k, x_star, dk, R, s):
+    """A composition row that forms the base point, as the rows did before
+    it was dropped: f_base, the bump of radius 1 at (L/4, 3L/4) normalised
+    in H^s, plus df_k is composed with psi_k, and the gap is taken against
+    f_base + df_k."""
+    grid = dphi.grid
+    f_base = bump(grid, [0.25 * grid.length, 0.75 * grid.length], r=1.0)
+    f_base = f_base * (1.0 / sobolev_norm(f_base, s))
+    df = bump(grid, x_star, r=dk)
+    df = df * (0.5 * R / sobolev_norm(df, s))
+    nu_base = f_base + df
+    psi_k = invert(Diffeo(VectorField(grid, dphi.data * (1.0 / k))),
+                   order=illposedness._COMPOSITION_ORDER)
+    gap = compose(nu_base, psi_k, order=illposedness._COMPOSITION_ORDER) - nu_base
+    half_a = gap + df
+    return sobolev_norm(gap, s), sobolev_norm(half_a, s) + sobolev_norm(df, s)
+
+
+class TestAxisPlateau:
+    @pytest.mark.parametrize("centre", [3.0, 3.5, 0.2, -0.4])  # in cells
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_full_plane_step(self, dim, centre):
+        grid = Grid(dim=dim, n=32, length=TAU)
+        c = centre * grid.spacing
+        for axis in range(dim):
+            d = np.abs(grid.coords()[axis] - c)
+            d = np.minimum(d, grid.length - d)
+            ref = _smooth_step((1.0 - d) / (1.0 - 0.4))
+            got = illposedness._axis_plateau(grid, axis, c, 0.4, 1.0)
+            assert got.shape == grid.shape
+            assert np.array_equal(got, ref)
+
+
 class TestCompositionExperiment:
     def test_input_gap_is_exact_power_law(self, series):
         assert series.input_gap_slope() == pytest.approx(-1.0, abs=1e-12)
@@ -86,8 +124,8 @@ class TestCompositionExperiment:
 
     def test_prefilters_only_the_row_fields(self, monkeypatch):
         # no row prefilters: the strip map's inverse is exact from its
-        # samples, nu_base is composed with that shear line by line, and
-        # f_base is never composed
+        # samples, df_k is composed with that shear line by line, and
+        # f_base is never built
         built = []
         init = Interpolant.__init__
         monkeypatch.setattr(Interpolant, "__init__", lambda self, *a, **kw:
@@ -98,36 +136,38 @@ class TestCompositionExperiment:
         assert len(built) == 0
 
     def test_series_reuses_what_it_holds(self, planes, monkeypatch):
-        # 4 rows at N = 128: the spectra of df_k and f_base + df_k follow
-        # from held ones, the strip map's inverse from its samples alone,
-        # and nu_base o psi_k from 1-D line transforms, so no row
-        # prefilters or evaluates anything (rfft, irfft and at: 27, 8 and
-        # 12 before any of these; 11, 8 and 8 while invert still
-        # interpolated the strip map; 11, 4 and 4 while compose still
-        # prefiltered and evaluated nu_base)
+        # 4 rows at N = 128: the H^s norms of the strip map (2 planes)
+        # and, per row, of df_k and of the gap (1 plane each); the spectra
+        # of the scaled df_k and of gap + df_k follow from held ones, the
+        # strip map's inverse from its samples alone, and df_k o psi_k
+        # from 1-D line transforms, so no row prefilters or evaluates
+        # anything, and no plane is spent on the base bump, which cancels
+        # (rfft, irfft and at: 27, 8 and 12 before any of these; 11, 8 and
+        # 8 while invert still interpolated the strip map; 11, 4 and 4
+        # while compose still prefiltered and evaluated f_base + df_k; 11,
+        # 0 and 0 while the series still built f_base)
         calls = []
         at = Interpolant.at
         monkeypatch.setattr(Interpolant, "at", lambda self, p:
                             calls.append(1) or at(self, p))
         composition_experiment(R=0.1, k_max=4,
                                grid=Grid(dim=2, n=128, length=TAU))
-        assert planes["rfft"] <= 11
+        assert planes["rfft"] == 10
         assert planes["irfft"] == 0
         assert len(calls) == 0
 
     @pytest.mark.parametrize("n, k_max", [(64, 13), (512, 4)])
     def test_strip_maps_fix_the_base_bump(self, monkeypatch, n, k_max):
-        # the rows take nu(f_base, phi_k) = f_base: each inverse strip map
-        # psi_k must fix every node where the base bump is nonzero
-        bumps, maps = [], []
-        bump, invert = illposedness.bump, illposedness.invert
-        monkeypatch.setattr(illposedness, "bump", lambda *a, **kw:
-                            bumps.append(bump(*a, **kw)) or bumps[-1])
+        # the rows drop the base bump: each inverse strip map psi_k must
+        # fix every node where f_base, the bump of radius r_base = 1 at
+        # (L/4, 3L/4), is nonzero, so that compose returns f_base as it is
+        grid = Grid(dim=2, n=n, length=TAU)
+        f_base = bump(grid, [0.25 * TAU, 0.75 * TAU], r=1.0)
+        maps = []
+        invert = illposedness.invert
         monkeypatch.setattr(illposedness, "invert", lambda *a, **kw:
                             maps.append(invert(*a, **kw)) or maps[-1])
-        composition_experiment(R=0.1, k_max=k_max,
-                               grid=Grid(dim=2, n=n, length=TAU))
-        f_base = bumps[0]  # the base bump, before its normalisation
+        composition_experiment(R=0.1, k_max=k_max, grid=grid)
         assert len(maps) == k_max
         for psi in maps:
             moved = np.any(psi.displacement.data != 0.0, axis=0)
@@ -136,11 +176,26 @@ class TestCompositionExperiment:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
                 got = compose(f_base, psi, order=illposedness._COMPOSITION_ORDER)
-            assert (np.max(np.abs(got.data - f_base.data))
-                    <= 1e-14 * np.max(np.abs(f_base.data)))
+            assert np.array_equal(got.data, f_base.data)
+
+    @pytest.mark.parametrize("R", [0.05, 0.1, 0.2])
+    @pytest.mark.parametrize("n, k_max", [(128, 5), (512, 4)])
+    def test_rows_without_the_base_bump(self, monkeypatch, n, k_max, R):
+        # a row that builds f_base + df_k and composes it, as the rows did
+        # before the base bump was dropped, gives every column bit for bit
+        grid = Grid(dim=2, n=n, length=TAU)
+        got = composition_experiment(R=R, k_max=k_max, grid=grid)
+        monkeypatch.setattr(illposedness, "_composition_row", _row_with_base)
+        ref = composition_experiment(R=R, k_max=k_max, grid=grid)
+        for name in got.column_names():
+            a = getattr(got, name, None)
+            b = getattr(ref, name, None)
+            if a is None:
+                a, b = got.extras[name], ref.extras[name]
+            assert np.array_equal(a, b), name
 
     def test_row_compose_matches_interpolant(self, monkeypatch):
-        # each row composes nu_base with its strip shear line by line;
+        # each row composes df_k with its strip shear line by line;
         # Interpolant evaluates the same spline at every node
         rows = []
         comp = illposedness.compose

@@ -465,6 +465,82 @@ class TestShearCompose:
             with pytest.raises(ValueError, match="order must be"):
                 compose(f, phi, order=order)
 
+    @pytest.mark.parametrize("order", [3, 5, "fourier"])
+    @pytest.mark.parametrize("case", ["one-shift", "scalar", "vector", "matrix"])
+    @pytest.mark.parametrize("kind", ["strip-first-2d", "strip-last-2d",
+                                      "strip-first-3d", "strip-last-3d",
+                                      "shift-2d"])
+    def test_zero_lines_are_kept(self, grid32, grid3d, kind, case, order, rng,
+                                 monkeypatch):
+        f, phi = _with_zero_lines(_SHEARS[kind](grid32, grid3d), case, rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            filled = _shift_every_moved_line(monkeypatch)
+            ref = compose(f, phi, order=order).data
+            monkeypatch.undo()
+            assert filled
+            zero_rows = _record_zero_rows(monkeypatch)
+            got = compose(f, phi, order=order).data
+        assert np.array_equal(got, ref)
+        assert zero_rows and not any(zero_rows)
+
+
+def _with_zero_lines(phi, case, rng):
+    """(f, phi'): a field f with identically zero lines among those the
+    shear phi' moves.  "one-shift": phi' is a plateau shear in phi's
+    direction and f a bump in its flat part, so that the nonzero moved
+    lines share one shift while the zero ones in the transition take
+    many.  Otherwise phi' is phi and f a band-limited field of that kind
+    with every third line across the strip zeroed, and in the first
+    component every second one too."""
+    grid = phi.grid
+    moving = phi.displacement.data.reshape(grid.dim, -1).any(axis=1)
+    axis = int(np.flatnonzero(moving)[0])
+    across = 1 if axis == 0 else 0
+    if case == "one-shift":
+        from eulerlab.illposedness import _axis_plateau
+        g = np.zeros_like(phi.displacement.data)
+        g[axis] = 0.4 * _axis_plateau(grid, across, 0.5 * grid.length, 1.0, 2.0)
+        f = bump(grid, [0.5 * grid.length] * grid.dim, r=0.9)
+        return f, Diffeo(VectorField(grid, g))
+    f = _band_limited(grid, rng, case)
+    shape = [1] * grid.dim
+    shape[across] = grid.n
+    keep = (np.arange(grid.n) % 3 != 0).reshape(shape)
+    data = f.data * keep
+    first = data.reshape((-1,) + grid.shape)[0]
+    first *= (np.arange(grid.n) % 2 != 0).reshape(shape)
+    return type(f)(grid, data), phi
+
+
+def _shift_every_moved_line(monkeypatch):
+    """Make compose transform every line it moves: the line shift sees each
+    zero line as a line of ones, and its result is set back to zeros, the
+    shift of zeros.  Returns the list of the numbers of lines so filled."""
+    filled = []
+    shifted = lagrangian._shifted_lines
+
+    def every_line(lines, t, order):
+        zero = ~lines.any(axis=-1)
+        filled.append(int(zero.sum()))
+        out = shifted(np.where(zero[..., None], 1.0, lines), t, order)
+        out[zero] = 0.0
+        return out
+    monkeypatch.setattr(lagrangian, "_shifted_lines", every_line)
+    return filled
+
+
+def _record_zero_rows(monkeypatch):
+    """Patch the forward line transforms, real and complex, to record the
+    number of identically zero lines each call receives."""
+    zero_rows = []
+    for name in ("rfft", "fft"):
+        orig = getattr(np.fft, name)
+        monkeypatch.setattr(np.fft, name, lambda a, *args, _orig=orig, **kw:
+                            zero_rows.append(int(np.sum(~np.asarray(a).any(axis=-1))))
+                            or _orig(a, *args, **kw))
+    return zero_rows
+
 
 def _with_nyquist(grid, amp, held):
     """A band-limited scalar field plus amp times the unpaired Nyquist mode
