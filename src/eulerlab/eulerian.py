@@ -65,9 +65,8 @@ class StepperConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Solver output: the kept states (t = 0 and T, or every step when
-    solved with ``keep="all"``) and, per step at t = 0, dt, ..., T, the
-    times and diagnostics."""
+    """Solver output: the states at t = 0 and T and, per step at t = 0,
+    dt, ..., T, the times and diagnostics."""
 
     states: tuple[EulerState, ...]
     times: np.ndarray
@@ -167,11 +166,6 @@ def _monitors(grid: Grid, s: float):
     return measure
 
 
-def _check_keep(keep: str) -> None:
-    if keep not in ("final", "all"):
-        raise ValueError(f'keep must be "final" or "all", got {keep!r}')
-
-
 def _step_count(T: float, dt: float, name: str = "T") -> int:
     """round(T / dt); raises ValueError unless T is a positive multiple of dt
     and the step count is finite."""
@@ -185,50 +179,49 @@ def _step_count(T: float, dt: float, name: str = "T") -> int:
     return n_steps
 
 
-def solve(u0: VectorField, T: float, cfg: StepperConfig | None = None,
-          keep: str = "final") -> Trajectory:
-    """Integrate from u0 to time T, recording energy / H^s norm / div drift.
-
-    The step count is round(T / dt); T must be an integer multiple of dt
-    up to round-off, so stored states land exactly on the sample times.
-    ``keep="final"`` keeps the states at t = 0 (``u0`` itself) and T only,
-    ``keep="all"`` every step's; the times and monitors cover every step
-    either way.  Kept states after t = 0 hold samples only; the stepped
-    field, which keeps its half spectrum, is carried from step to step.
-    """
-    _check_keep(keep)
-    if cfg is None:
-        cfg = StepperConfig()
-    n_steps = _step_count(T, cfg.dt)
-
+def _stepped(u0: VectorField, n_steps: int, cfg: StepperConfig, rows: list):
+    """Yield the state at t = 0 (``u0`` itself), then those of n_steps RK4
+    steps through ``eulerian.step`` as looked up on the module, each at an
+    exact multiple of dt and carrying its half spectrum.  Each state's
+    (t, energy, H^s norm, div drift) goes to ``rows`` before it is
+    yielded; a norm past the blow-up limit raises BlowUpError instead."""
     bb = BAssembly(u0.grid, cutoff=cfg.cutoff)
     measure = _monitors(u0.grid, cfg.s_monitor)
     e0, norm0, drift0 = measure(u0.hat)
     norm0 = max(norm0, 1e-300)
-    states = [EulerState(0.0, u0)]
-    times = [0.0]
-    energies = [e0]
-    norms = [norm0]
-    drifts = [drift0]
-
-    state = states[0]
+    state = EulerState(0.0, u0)
+    rows.append((0.0, e0, norm0, drift0))
+    yield state
     for i in range(n_steps):
-        # keep stored times exact multiples of dt (no accumulation error)
         state = EulerState((i + 1) * cfg.dt, step(state, cfg, bb).u)
         e, nrm, drift = measure(state.u.hat)
         if not np.isfinite(nrm) or nrm > _NORM_GROWTH_LIMIT * norm0:
             raise BlowUpError(
                 f"H^{cfg.s_monitor} norm grew to {nrm:.3e} at t = {state.t}"
             )
-        if keep == "all" or i == n_steps - 1:
-            states.append(EulerState(state.t, VectorField(u0.grid, state.u.data)))
-        times.append(state.t)
-        energies.append(e)
-        norms.append(nrm)
-        drifts.append(drift)
+        rows.append((state.t, e, nrm, drift))
+        yield state
 
-    return Trajectory(tuple(states), np.array(times), np.array(energies),
-                      np.array(norms), np.array(drifts))
+
+def _trajectory(u0: VectorField, final: EulerState, rows: list) -> Trajectory:
+    """``_stepped``'s rows as a trajectory keeping u0 and final's samples."""
+    kept = EulerState(final.t, VectorField(u0.grid, final.u.data))
+    return Trajectory((EulerState(0.0, u0), kept), *map(np.array, zip(*rows)))
+
+
+def solve(u0: VectorField, T: float, cfg: StepperConfig | None = None) -> Trajectory:
+    """Integrate from u0 to time T, recording energy / H^s norm / div drift.
+
+    The step count is round(T / dt); T must be an integer multiple of dt
+    up to round-off.  Keeps the states at t = 0 (``u0`` itself) and T, the
+    latter with samples only; the times and monitors cover every step.
+    """
+    if cfg is None:
+        cfg = StepperConfig()
+    rows: list = []
+    for state in _stepped(u0, _step_count(T, cfg.dt), cfg, rows):
+        pass
+    return _trajectory(u0, state, rows)
 
 
 def div_evolution_residual(u: VectorField, cutoff: float = 1.0) -> ScalarField:

@@ -24,7 +24,7 @@ import numpy as np
 from .eulerian import BlowUpError, StepperConfig, _step_count, solve
 from .fields import _axis_dist, _smooth_step, bump, div_free_bump, vorticity
 from .lagrangian import Diffeo, GeodesicConfig, compose, exp_map, invert
-from .spectral import Grid, VectorField, chi_cutoff, sobolev_norm
+from .spectral import Grid, ScalarField, VectorField, chi_cutoff, sobolev_norm
 
 __all__ = [
     "SeparationSeries",
@@ -148,7 +148,7 @@ def composition_experiment(R: float = 0.1, k_max: int = 13, s: float = 2.5,
     # unit-amplitude localized translation field, constant on the strip
     prof = M * _axis_plateau(grid, 1, x_star[1], strip_flat, strip_out)
     dphi = VectorField(grid, np.stack([prof, np.zeros(grid.shape)]))
-    dphi_norm = sobolev_norm(dphi, s)
+    dphi_norm = sobolev_norm(ScalarField(grid, prof), s)  # its one nonzero component
 
     ks = np.arange(1, k_max + 1)
     in_gap = np.empty(k_max)

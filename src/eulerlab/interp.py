@@ -13,10 +13,11 @@ Two families:
   the compact-support kernel per query point on the padded array, where
   every tap is in bounds, so none is wrapped per point.  O(1) per point
   after the prefilter; accuracy O(h^{order+1}).
-- Exact trigonometric evaluation (``order="fourier"``): sums the Fourier
+- Trigonometric evaluation (``order="fourier"``): sums the Fourier
   series at the query points by sum factorisation, dim * n exponentials
   per point and a contraction of the coefficients one axis at a time.
-  Exact for band-limited fields; used for convergence studies.
+  Exact for band-limited fields up to round-off that does not grow with
+  n (node phases come from roots of unity); for convergence studies.
 
 Both are separable, so on a line of nodes moved by a constant number of
 grid units either one is a Fourier multiplier of that line alone
@@ -194,7 +195,8 @@ class Interpolant:
             # of an unpaired Nyquist mode would change the trig sum.
             hat = np.fft.fftn(field.data, axes=tuple(range(-grid.dim, 0))) / grid.size
             self._hat = hat.reshape((-1,) + grid.shape)
-            self._xi = (2.0 * np.pi / grid.length) * np.fft.fftfreq(grid.n, 1.0 / grid.n)
+            self._k = np.fft.fftfreq(grid.n, 1.0 / grid.n).astype(np.int64)
+            self._xi = (2.0 * np.pi / grid.length) * self._k
             return
         comps = field.data.reshape((-1,) + grid.shape)
         nonzero = [i for i, c in enumerate(comps) if c.any()]
@@ -258,12 +260,19 @@ class Interpolant:
         return vals.reshape(self._comp_shape + pshape)
 
     def _fourier_at(self, flat: np.ndarray) -> np.ndarray:
-        m = flat.shape[1]
+        n, m = self.grid.n, flat.shape[1]
+        roots = np.exp(2j * np.pi / n * np.arange(n))
         out = np.empty((self._hat.shape[0], m))
         for start in range(0, m, _FOURIER_BLOCK):
             sl = slice(start, min(start + _FOURIER_BLOCK, m))
-            # sum factorisation: contract one axis at a time with exp(i x_j xi)
-            e = np.exp(1j * flat[:, sl, None] * self._xi)  # (dim, points, n)
+            # x = j h + r with 0 <= r < h (exact remainder): the phase of
+            # j h is that of an n-th root of unity, and r xi stays below
+            # pi, so no phase grows with n
+            j, r = np.divmod(flat[:, sl, None], self.grid.spacing)
+            j = np.mod(j, n).astype(np.int64)
+            e = roots[(j * self._k) % n]  # (dim, points, n)
+            e *= np.exp(1j * r * self._xi)
+            # sum factorisation: contract one axis at a time
             acc = np.einsum("c...a,pa->cp...", self._hat, e[-1])
             for e_j in e[-2::-1]:
                 acc = np.einsum("cp...a,pa->cp...", acc, e_j)

@@ -23,11 +23,13 @@ from .bform import BAssembly
 from .eulerian import (
     BlowUpError,
     EulerState,
+    StepperConfig,
     Trajectory,
     _check_assembly,
-    _check_keep,
     _rk,
     _step_count,
+    _stepped,
+    _trajectory,
 )
 from .fields import jacobian
 from .interp import (
@@ -316,9 +318,9 @@ class GeodesicConfig:
 
 @dataclass(frozen=True)
 class GeodesicTrajectory:
-    """The kept states (t = 0 and T, or every step when solved with
-    ``keep="all"``) and, per step at t = 0, dt, ..., T, the times, the
-    L^2 speeds ||v||_0 and the volume defects max |det d(phi) - 1|."""
+    """The states at t = 0 and T and, per step at t = 0, dt, ..., T, the
+    times, the L^2 speeds ||v||_0 and the volume defects
+    max |det d(phi) - 1|."""
 
     states: tuple[GeodesicState, ...]
     times: np.ndarray
@@ -392,22 +394,19 @@ def geodesic_step(state: GeodesicState, cfg: GeodesicConfig | None = None,
     return _geodesic_step(state, bb, cfg, None)[0]
 
 
-def geodesic_solve(u0: VectorField, T: float, cfg: GeodesicConfig | None = None,
-                   keep: str = "final") -> GeodesicTrajectory:
+def geodesic_solve(u0: VectorField, T: float,
+                   cfg: GeodesicConfig | None = None) -> GeodesicTrajectory:
     """Integrate the geodesic system from (id, u0) up to time T.
 
-    ``keep="final"`` keeps the states at t = 0 ((id, u0) itself) and T
-    only, ``keep="all"`` every step's; the times, speeds and volume
-    defects cover every step either way.
+    Keeps the states at t = 0 ((id, u0) itself) and T; the times, speeds
+    and volume defects cover every step.
     """
-    _check_keep(keep)
     if cfg is None:
         cfg = GeodesicConfig()
     n_steps = _step_count(T, cfg.dt)
     bb = BAssembly(u0.grid, cutoff=cfg.cutoff)
 
-    state = GeodesicState(0.0, identity(u0.grid), u0)
-    states = [state]
+    state = start = GeodesicState(0.0, identity(u0.grid), u0)
     times = [0.0]
     speeds = [sobolev_norm(u0, 0.0)]
     defects = [0.0]  # det of the identity is exactly 1
@@ -415,13 +414,11 @@ def geodesic_solve(u0: VectorField, T: float, cfg: GeodesicConfig | None = None,
     for i in range(n_steps):
         state, guess, defect = _geodesic_step(state, bb, cfg, guess)
         state = GeodesicState((i + 1) * cfg.dt, state.phi, state.v)
-        if keep == "all" or i == n_steps - 1:
-            states.append(state)
         times.append(state.t)
         # the norm of a samples-only copy: a kept v caches no spectrum
         speeds.append(sobolev_norm(VectorField(u0.grid, state.v.data), 0.0))
         defects.append(defect)
-    return GeodesicTrajectory(tuple(states), np.array(times), np.array(speeds),
+    return GeodesicTrajectory((start, state), np.array(times), np.array(speeds),
                               np.array(defects))
 
 
@@ -440,41 +437,37 @@ def exp_map(u0: VectorField, t: float, cfg: GeodesicConfig | None = None) -> Dif
     return geodesic_solve(u0, t, cfg=cfg).final.phi
 
 
-def flow_of(traj: Trajectory, order=DEFAULT_ORDER) -> list[tuple[float, Diffeo]]:
-    """Flow map of a solved Eulerian trajectory: d_t phi = u(t) o phi.
-
-    Integrates with RK4 using a flow step of two solver steps so every
-    Runge-Kutta stage lands on a stored state (no interpolation in time).
-    Returns (t, phi(t)) at t = 0, 2 dt, 4 dt, ...; the trajectory must
-    contain an even number of steps, each with its state kept
-    (``solve(..., keep="all")``), else ValueError.
+def flow_of(u0: VectorField, T: float, cfg: StepperConfig | None = None,
+            order=DEFAULT_ORDER) -> tuple[Trajectory, Diffeo]:
+    """Solve from u0 to time T as ``solve`` does, bit for bit, and
+    integrate the flow map d_t phi = u(t) o phi alongside; returns the
+    trajectory and phi(T).  RK4 with a flow step of two solver steps, so
+    stage fraction c = 0, 1/2, 1 reads solver state i, i + 1, i + 2 (no
+    interpolation in time).  Each state is prefiltered once (u0 as it is,
+    the stepped ones from samples-only copies), and only one flow step's
+    three interpolants are held.  An odd step count is a ValueError
+    before any step.
     """
-    n = len(traj.times) - 1
-    if n % 2 != 0:
+    if cfg is None:
+        cfg = StepperConfig()
+    n_steps = _step_count(T, cfg.dt)
+    if n_steps % 2 != 0:
         raise ValueError("flow_of needs an even number of solver steps")
-    if len(traj.states) != n + 1:
-        raise ValueError('flow_of needs every state: solve with keep="all"')
-    grid = traj.states[0].u.grid
-    h = 2.0 * (traj.states[1].t - traj.states[0].t)
-
-    out = [(0.0, identity(grid))]
-    g = np.zeros((grid.dim,) + grid.shape)
-    x = grid.nodes
-    u = [Interpolant(traj.states[0].u, order=order)]
-    for i in range(0, n, 2):
-        # stage fraction c = 0, 1/2, 1 reads state i, i + 1, i + 2; the
-        # interpolant of state i is the previous step's last one
-        u = [u[-1]] + [Interpolant(st.u, order=order)
-                       for st in traj.states[i + 1:i + 3]]
-        g = _rk(lambda c, y: u[int(2 * c)].at(x + y), g, h)
-        out.append((traj.states[i + 2].t, Diffeo(VectorField(grid, g))))
-    return out
+    grid, rows = u0.grid, []
+    states = _stepped(u0, n_steps, cfg, rows)
+    u = [Interpolant(next(states).u, order=order)]
+    g, x = np.zeros((grid.dim,) + grid.shape), grid.nodes
+    for pair in zip(states, states):  # states i + 1, i + 2; i's is reused
+        u = [u[-1]] + [Interpolant(VectorField(grid, st.u.data), order=order)
+                       for st in pair]
+        g = _rk(lambda c, y: u[int(2 * c)].at(x + y), g, 2.0 * cfg.dt)
+    return _trajectory(u0, pair[-1], rows), Diffeo(VectorField(grid, g))
 
 
 def eulerian_from_lagrangian(traj: GeodesicTrajectory,
                              order=DEFAULT_ORDER) -> list[EulerState]:
     """Recover u(t) = v(t) o phi(t)^{-1} at the kept states of a geodesic
-    trajectory (t = 0 and T unless it was solved with ``keep="all"``)."""
+    trajectory, t = 0 and T."""
     out = []
     guess: VectorField | None = None
     for st in traj.states:

@@ -14,6 +14,7 @@ from eulerlab import (
     div_evolution_residual,
     divergence,
     energy,
+    flow_of,
     random_div_free,
     rhs,
     sobolev_norm,
@@ -38,9 +39,9 @@ def test_rhs_divergence_free_input_gives_projected_advection(grid32, rng):
 
 def test_solve_step_count_and_times(grid16, rng):
     u0 = random_div_free(grid16, rng, norm_value=0.2)
-    traj = solve(u0, 0.1, StepperConfig(dt=0.02), keep="all")
-    assert len(traj.states) == 6
+    traj = solve(u0, 0.1, StepperConfig(dt=0.02))
     assert np.allclose(traj.times, [0.0, 0.02, 0.04, 0.06, 0.08, 0.1])
+    assert traj.final.t == traj.times[-1]
 
 
 def test_solve_rejects_unaligned_horizon(grid16, rng):
@@ -148,11 +149,11 @@ def test_rhs_matches_full_spectrum_reference(dim, n, cutoff, rng):
 def test_solve_is_repeated_step(grid32, rng):
     u0 = random_div_free(grid32, rng, norm_value=0.5)
     cfg = StepperConfig(dt=0.01)
-    traj = solve(u0, 0.05, cfg, keep="all")
     state = EulerState(0.0, u0)
-    for stored in traj.states[1:]:
+    for n_steps in range(1, 6):
         state = step(state, cfg)
-        assert np.array_equal(state.u.data, stored.u.data)
+        final = solve(u0, n_steps * cfg.dt, cfg).final
+        assert np.array_equal(state.u.data, final.u.data)
 
 
 def test_solve_steps_through_module_step(grid16, rng, monkeypatch):
@@ -191,12 +192,16 @@ def test_monitors_match_field_norms(grid32, rng):
     # also for a field with divergence and Nyquist content
     u0 = VectorField(grid32, 0.1 * rng.standard_normal((2,) + grid32.shape))
     cfg = StepperConfig(dt=0.01, s_monitor=2.5)
-    traj = solve(u0, 0.02, cfg, keep="all")
-    for i, st in enumerate(traj.states):
-        assert traj.energies[i] == pytest.approx(energy(st.u), rel=1e-12)
-        assert traj.norms[i] == pytest.approx(sobolev_norm(st.u, 2.5), rel=1e-12)
+    traj = solve(u0, 0.02, cfg)
+    state = EulerState(0.0, u0)
+    for i in range(len(traj.times)):
+        if i:
+            state = step(state, cfg)
+        u = VectorField(grid32, state.u.data)
+        assert traj.energies[i] == pytest.approx(energy(u), rel=1e-12)
+        assert traj.norms[i] == pytest.approx(sobolev_norm(u, 2.5), rel=1e-12)
         assert traj.div_drifts[i] == pytest.approx(
-            sobolev_norm(divergence(st.u), 1.5), rel=1e-12)
+            sobolev_norm(divergence(u), 1.5), rel=1e-12)
 
 
 def test_rhs_hat_transform_count(grid32, rng, planes):
@@ -248,10 +253,14 @@ def test_solve_transforms_the_initial_field_once(grid32, rng, planes, n_steps):
 
 
 def test_stored_states_keep_samples_only(grid32, rng):
-    # a stored spectrum would about double each state's memory
-    traj = solve(random_div_free(grid32, rng), 0.03, StepperConfig(dt=0.01),
-                 keep="all")
-    assert all(st.u._hat is None for st in traj.states[1:])
+    # a stored spectrum would about double the final state's memory; the
+    # state stepped to it carries one
+    u0 = random_div_free(grid32, rng)
+    cfg = StepperConfig(dt=0.01)
+    traj = solve(u0, 0.02, cfg)
+    assert traj.final.u._hat is None
+    assert flow_of(u0, 0.02, cfg)[0].final.u._hat is None
+    assert step(step(EulerState(0.0, u0), cfg), cfg).u._hat is not None
 
 
 def test_solve_keeps_initial_and_final_by_default(grid16, rng):
@@ -263,39 +272,40 @@ def test_solve_keeps_initial_and_final_by_default(grid16, rng):
     assert len(traj.times) == len(traj.energies) == len(traj.norms) == 6
 
 
-def test_keep_final_matches_keep_all(grid32, rng):
+def test_solve_monitors_match_step_chain(grid32, rng):
+    # the times are exact multiples of dt, and the monitors those of the
+    # states step by step, bit for bit
     u0 = random_div_free(grid32, rng, norm_value=0.5)
     cfg = StepperConfig(dt=0.01)
-    final, full = solve(u0, 0.05, cfg), solve(u0, 0.05, cfg, keep="all")
-    assert final.final.t == full.final.t
-    assert np.array_equal(final.final.u.data, full.final.u.data)
-    for name in ("times", "energies", "norms", "div_drifts"):
-        assert np.array_equal(getattr(final, name), getattr(full, name))
+    traj = solve(u0, 0.05, cfg)
+    measure = eulerian._monitors(grid32, cfg.s_monitor)
+    state, rows = EulerState(0.0, u0), [measure(u0.hat)]
+    for _ in range(5):
+        state = step(state, cfg)
+        rows.append(measure(state.u.hat))
+    energies, norms, drifts = map(np.array, zip(*rows))
+    assert np.array_equal(traj.times, np.arange(6) * cfg.dt)
+    assert np.array_equal(traj.energies, energies)
+    assert np.array_equal(traj.norms, norms)
+    assert np.array_equal(traj.div_drifts, drifts)
+    assert np.array_equal(traj.final.u.data, state.u.data)
 
 
-@pytest.mark.parametrize("keep", ["every", "ALL", None, 2])
-def test_solve_rejects_unknown_keep(grid16, rng, keep):
-    with pytest.raises(ValueError, match="keep"):
-        solve(random_div_free(grid16, rng), 0.02, StepperConfig(dt=0.01),
-              keep=keep)
-
-
-def test_solve_memory_is_bounded_unless_all_states_are_kept(rng):
-    # 36 more steps cost less than one state's samples when only the final
-    # state is kept, and 36 states' samples when all are
+@pytest.mark.parametrize("run", [solve, flow_of])
+def test_solve_memory_is_bounded(rng, run):
+    # 36 more steps cost less than one state's samples: the solve keeps
+    # the initial and final states only, and the streamed flow map holds
+    # the interpolants of one flow step only
     grid = Grid(dim=2, n=64, length=2.0 * np.pi)
     u0 = random_div_free(grid, rng, norm_value=0.2)
     cfg = StepperConfig(dt=0.01)
-    solve(u0, 0.02, cfg)  # builds the grid's cached symbols
-    state_bytes = u0.data.nbytes
-    for keep, low, high in (("final", -np.inf, state_bytes),
-                            ("all", 30 * state_bytes, np.inf)):
-        peaks = []
-        for n_steps in (4, 40):
-            with TracedPeak() as traced:
-                solve(u0, n_steps * cfg.dt, cfg, keep=keep)
-            peaks.append(traced.peak)
-        assert low <= peaks[1] - peaks[0] < high
+    run(u0, 0.02, cfg)  # builds the grid's cached symbols
+    peaks = []
+    for n_steps in (4, 40):
+        with TracedPeak() as traced:
+            run(u0, n_steps * cfg.dt, cfg)
+        peaks.append(traced.peak)
+    assert peaks[1] - peaks[0] < u0.data.nbytes
 
 
 def test_step_count_overflow_is_a_value_error():

@@ -136,23 +136,25 @@ class TestCompositionExperiment:
         assert len(built) == 0
 
     def test_series_reuses_what_it_holds(self, planes, monkeypatch):
-        # 4 rows at N = 128: the H^s norms of the strip map (2 planes)
-        # and, per row, of df_k and of the gap (1 plane each); the spectra
-        # of the scaled df_k and of gap + df_k follow from held ones, the
-        # strip map's inverse from its samples alone, and df_k o psi_k
+        # 4 rows at N = 128: the H^s norm of the strip map's one nonzero
+        # component (1 plane) and, per row, of df_k and of the gap (1
+        # plane each); the spectra of the scaled df_k and of gap + df_k
+        # follow from held ones, the strip map's inverse from its samples
+        # alone, and df_k o psi_k
         # from 1-D line transforms, so no row prefilters or evaluates
         # anything, and no plane is spent on the base bump, which cancels
         # (rfft, irfft and at: 27, 8 and 12 before any of these; 11, 8 and
         # 8 while invert still interpolated the strip map; 11, 4 and 4
         # while compose still prefiltered and evaluated f_base + df_k; 11,
-        # 0 and 0 while the series still built f_base)
+        # 0 and 0 while the series still built f_base; 10, 0 and 0 while
+        # the strip map's norm also transformed its zero component)
         calls = []
         at = Interpolant.at
         monkeypatch.setattr(Interpolant, "at", lambda self, p:
                             calls.append(1) or at(self, p))
         composition_experiment(R=0.1, k_max=4,
                                grid=Grid(dim=2, n=128, length=TAU))
-        assert planes["rfft"] == 10
+        assert planes["rfft"] == 9
         assert planes["irfft"] == 0
         assert len(calls) == 0
 

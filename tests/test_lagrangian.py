@@ -40,7 +40,8 @@ from eulerlab import (
     vorticity,
     vorticity_pullback,
 )
-from eulerlab import lagrangian
+from eulerlab import eulerian, lagrangian
+from eulerlab.eulerian import EulerState, step
 from eulerlab.interp import Interpolant
 
 from conftest import FullLattice, TracedPeak, compose_all_nodes
@@ -664,30 +665,30 @@ class TestGeodesic:
 
     def test_volume_preserved(self, grid32, rng):
         u0 = random_div_free(grid32, rng, norm_value=0.4)
-        traj = geodesic_solve(u0, 0.2, GeodesicConfig(dt=0.01, order=5),
-                              keep="all")
+        traj = geodesic_solve(u0, 0.2, GeodesicConfig(dt=0.01, order=5))
         d = det_jacobian(traj.final.phi)
         # resolution-limited at n = 32 (independent of dt and spline order)
         assert np.max(np.abs(d.data - 1.0)) < 5e-6
         # the per-step orientation check and this one leave the stored
         # maps with samples only
         assert all(st.phi.displacement._hat is None for st in traj.states)
-        # and so does the speed monitor the stepped velocities (the first
+        # and so does the speed monitor the stepped velocity (the first
         # is the caller's u0)
-        assert all(st.v._hat is None for st in traj.states[1:])
+        assert traj.final.v._hat is None
 
     def test_det_defects_are_those_of_the_states(self, grid32, rng):
         # recorded per step from the det the orientation check takes, at
-        # t = 0 from the identity, whether or not the states are kept
+        # t = 0 from the identity; the state of step k is the final one of
+        # the k-step solve
         u0 = random_div_free(grid32, rng, norm_value=0.4)
         cfg = GeodesicConfig(dt=0.02)
-        full = geodesic_solve(u0, 0.1, cfg, keep="all")
-        expect = [np.max(np.abs(det_jacobian(st.phi).data - 1.0))
-                  for st in full.states]
-        assert np.array_equal(full.det_defects, expect)
-        assert full.det_defects[0] == 0.0 and full.det_defects[-1] > 0.0
-        assert np.array_equal(geodesic_solve(u0, 0.1, cfg).det_defects,
-                              full.det_defects)
+        traj = geodesic_solve(u0, 0.1, cfg)
+        expect = [0.0] + [
+            np.max(np.abs(det_jacobian(geodesic_solve(u0, k * cfg.dt, cfg)
+                                       .final.phi).data - 1.0))
+            for k in range(1, 6)]
+        assert np.array_equal(traj.det_defects, expect)
+        assert traj.det_defects[-1] > 0.0
 
     def test_matches_eulerian_velocity(self, grid32, rng):
         u0 = random_div_free(grid32, rng, norm_value=0.4)
@@ -698,42 +699,37 @@ class TestGeodesic:
         rel = sobolev_norm(u_lag - eul, 2.0) / sobolev_norm(eul, 2.0)
         assert rel < 2e-3
 
-    def test_keeps_initial_and_final_by_default(self, grid16, rng):
+    def test_keeps_initial_and_final(self, grid16, rng):
+        # the final state is that of a chain of private steps, each seeded
+        # with the inverse the one before left, bit for bit
         u0 = random_div_free(grid16, rng, norm_value=0.2)
         cfg = GeodesicConfig(dt=0.02)
-        final, full = geodesic_solve(u0, 0.08, cfg), geodesic_solve(
-            u0, 0.08, cfg, keep="all")
-        assert len(final.states) == 2 and len(full.states) == 5
-        assert final.states[0].v is u0
-        assert final.final.t == full.final.t
-        assert np.array_equal(final.final.phi.displacement.data,
-                              full.final.phi.displacement.data)
-        assert np.array_equal(final.final.v.data, full.final.v.data)
-        assert np.array_equal(final.times, full.times)
-        assert np.array_equal(final.speeds, full.speeds)
-        assert len(final.times) == len(final.speeds) == 5
+        traj = geodesic_solve(u0, 0.08, cfg)
+        bb = BAssembly(grid16, cutoff=cfg.cutoff)
+        state, guess = GeodesicState(0.0, identity(grid16), u0), None
+        for _ in range(4):
+            state, guess, _ = lagrangian._geodesic_step(state, bb, cfg, guess)
+        assert len(traj.states) == 2
+        assert traj.states[0].v is u0
+        assert traj.final.t == traj.times[-1] == pytest.approx(0.08)
+        assert np.array_equal(traj.final.phi.displacement.data,
+                              state.phi.displacement.data)
+        assert np.array_equal(traj.final.v.data, state.v.data)
+        assert len(traj.times) == len(traj.speeds) == 5
 
-    @pytest.mark.parametrize("keep", ["every", None])
-    def test_rejects_unknown_keep(self, grid16, rng, keep):
-        with pytest.raises(ValueError, match="keep"):
-            geodesic_solve(random_div_free(grid16, rng), 0.02,
-                           GeodesicConfig(dt=0.01), keep=keep)
-
-    def test_memory_is_bounded_unless_all_states_are_kept(self, rng):
-        # as for solve: a state is the samples of phi and v
+    def test_memory_is_bounded(self, rng):
+        # as for solve: 36 more steps cost less than one state, the
+        # samples of phi and v
         grid = Grid(dim=2, n=64, length=TAU)
         u0 = random_div_free(grid, rng, norm_value=0.2)
         cfg = GeodesicConfig(dt=0.01)
         geodesic_solve(u0, 0.02, cfg)  # builds the cached symbols and tables
-        state_bytes = 2 * u0.data.nbytes
-        for keep, low, high in (("final", -np.inf, state_bytes),
-                                ("all", 30 * state_bytes, np.inf)):
-            peaks = []
-            for n_steps in (4, 40):
-                with TracedPeak() as traced:
-                    geodesic_solve(u0, n_steps * cfg.dt, cfg, keep=keep)
-                peaks.append(traced.peak)
-            assert low <= peaks[1] - peaks[0] < high
+        peaks = []
+        for n_steps in (4, 40):
+            with TracedPeak() as traced:
+                geodesic_solve(u0, n_steps * cfg.dt, cfg)
+            peaks.append(traced.peak)
+        assert peaks[1] - peaks[0] < 2 * u0.data.nbytes
 
     def test_exp_map_at_zero_time_is_identity(self, grid16, rng):
         u0 = random_div_free(grid16, rng)
@@ -878,16 +874,27 @@ def _geodesic_step_hand_written(state, dt, bb, cfg, inv_guess):
     return GeodesicState(state.t + dt, Diffeo(g_new), v_new), seed(psi, g_new, g4)
 
 
-def _flow_of_hand_written(traj, order):
+def _solver_states(u0, cfg, n_steps):
+    """The states of an n-step solve, built with ``step``: u0 itself, then
+    samples-only copies of the stepped fields, as the solver held them."""
+    states, state = [EulerState(0.0, u0)], EulerState(0.0, u0)
+    for i in range(n_steps):
+        state = step(state, cfg)
+        states.append(EulerState((i + 1) * cfg.dt,
+                                 VectorField(u0.grid, state.u.data)))
+    return states
+
+
+def _flow_of_hand_written(states, order):
     """Reference flow-map displacements: RK4 written out, a flow step of
     two solver steps with stages on states i, i + 1, i + 1, i + 2."""
-    grid = traj.states[0].u.grid
-    h = 2.0 * (traj.states[1].t - traj.states[0].t)
+    grid = states[0].u.grid
+    h = 2.0 * (states[1].t - states[0].t)
     g = np.zeros((grid.dim,) + grid.shape)
     x = np.stack(grid.coords())
     out = [g]
-    for i in range(0, len(traj.states) - 1, 2):
-        ua, um, ub = (Interpolant(traj.states[j].u, order=order)
+    for i in range(0, len(states) - 1, 2):
+        ua, um, ub = (Interpolant(states[j].u, order=order)
                       for j in (i, i + 1, i + 2))
         k1 = ua.at(x + g)
         k2 = um.at(x + g + 0.5 * h * k1)
@@ -895,6 +902,22 @@ def _flow_of_hand_written(traj, order):
         k4 = ub.at(x + g + h * k3)
         g = g + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         out.append(g)
+    return out
+
+
+def _flow_of_stored(states, order):
+    """The maps phi(2 k dt), k = 0, 1, ..., as read from every stored
+    state of a solve before the flow map was streamed alongside it."""
+    grid = states[0].u.grid
+    h = 2.0 * (states[1].t - states[0].t)
+    out = [identity(grid)]
+    g = np.zeros((grid.dim,) + grid.shape)
+    x = grid.nodes
+    u = [Interpolant(states[0].u, order=order)]
+    for i in range(0, len(states) - 1, 2):
+        u = [u[-1]] + [Interpolant(st.u, order=order) for st in states[i + 1:i + 3]]
+        g = lagrangian._rk(lambda c, y: u[int(2 * c)].at(x + y), g, h)
+        out.append(Diffeo(VectorField(grid, g)))
     return out
 
 
@@ -907,10 +930,10 @@ class TestSharedRungeKutta:
         grid = Grid(dim=dim, n=n, length=TAU)
         u0 = random_div_free(grid, rng, norm_value=0.4)
         cfg = GeodesicConfig(dt=0.02, order=order)
-        traj = geodesic_solve(u0, 0.08, cfg, keep="all")
         bb = BAssembly(grid, cutoff=cfg.cutoff)
         state, guess = GeodesicState(0.0, identity(grid), u0), None
-        for stored in traj.states[1:]:
+        for k in range(1, 5):
+            stored = geodesic_solve(u0, k * cfg.dt, cfg).final
             state, guess = _geodesic_step_hand_written(state, cfg.dt, bb, cfg, guess)
             assert np.array_equal(stored.phi.displacement.data,
                                   state.phi.displacement.data)
@@ -918,25 +941,29 @@ class TestSharedRungeKutta:
 
     @pytest.mark.parametrize("order", [3, 5])
     def test_flow_of_matches_hand_written(self, grid32, rng, order):
+        # phi(2 k dt) is the final map of the solve to 2 k dt
         u0 = random_div_free(grid32, rng, norm_value=0.4)
-        traj = solve(u0, 0.08, StepperConfig(dt=0.01), keep="all")
-        got = flow_of(traj, order=order)
-        ref = _flow_of_hand_written(traj, order)
-        assert [t for t, _ in got] == [st.t for st in traj.states[::2]]
-        assert len(got) == len(ref) == 5
-        for (_, phi), g in zip(got, ref):
-            gap = np.max(np.abs(phi.displacement.data - g))
-            assert gap <= 1e-13 * np.max(np.abs(g))
+        cfg = StepperConfig(dt=0.01)
+        ref = _flow_of_hand_written(_solver_states(u0, cfg, 8), order)
+        for k in range(1, 5):
+            traj, phi = flow_of(u0, 2 * k * cfg.dt, cfg, order=order)
+            assert traj.final.t == 2 * k * cfg.dt
+            gap = np.max(np.abs(phi.displacement.data - ref[k]))
+            assert gap <= 1e-13 * np.max(np.abs(ref[k]))
 
     def test_flow_of_prefilters_each_state_once(self, grid32, rng, monkeypatch):
-        traj = solve(random_div_free(grid32, rng, norm_value=0.4), 0.08,
-                     StepperConfig(dt=0.01), keep="all")
+        # u0 itself, then a samples-only copy of each stepped state
+        u0 = random_div_free(grid32, rng, norm_value=0.4)
+        cfg = StepperConfig(dt=0.01)
+        states = _solver_states(u0, cfg, 8)
         built = []
         init = Interpolant.__init__
         monkeypatch.setattr(Interpolant, "__init__", lambda self, f, *a, **kw:
                             built.append(f) or init(self, f, *a, **kw))
-        flow_of(traj)
-        assert [id(f) for f in built] == [id(st.u) for st in traj.states]
+        flow_of(u0, 8 * cfg.dt, cfg)
+        assert len(built) == len(states) and built[0] is u0
+        assert all(f._hat is None and np.array_equal(f.data, st.u.data)
+                   for f, st in zip(built[1:], states[1:]))
 
     def test_geodesic_solve_steps_through_module_step(self, grid16, rng,
                                                       monkeypatch):
@@ -962,28 +989,44 @@ class TestSharedRungeKutta:
         assert np.array_equal(got.v.data, ref.v.data)
 
 
+class TestStreamedFlow:
+    """flow_of streams the flow map alongside the Euler solve and returns
+    what reading every stored state of the solve gave, bit for bit."""
+
+    @pytest.mark.parametrize("order", [3, 5, "fourier"])
+    @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+    def test_matches_flow_of_stored_states(self, dim, n, order, rng):
+        grid = Grid(dim=dim, n=n, length=TAU)
+        u0 = random_div_free(grid, rng, norm_value=0.4)
+        cfg = StepperConfig(dt=0.01)
+        ref = _flow_of_stored(_solver_states(u0, cfg, 6), order)
+        for k in range(1, 4):
+            T = 2 * k * cfg.dt
+            traj, phi = flow_of(u0, T, cfg, order=order)
+            assert np.array_equal(phi.displacement.data, ref[k].displacement.data)
+            # and the trajectory is solve's
+            plain = solve(u0, T, cfg)
+            assert traj.states[0].u is u0 and traj.final.t == plain.final.t
+            assert np.array_equal(traj.final.u.data, plain.final.u.data)
+            for name in ("times", "energies", "norms", "div_drifts"):
+                assert np.array_equal(getattr(traj, name), getattr(plain, name))
+
+
 class TestFlowAndPullback:
     def test_flow_matches_exp(self, grid32, rng):
         u0 = random_div_free(grid32, rng, norm_value=0.4)
         T, dt = 0.2, 0.01
-        traj = solve(u0, T, StepperConfig(dt=dt), keep="all")
-        flows = flow_of(traj)
+        _, phi = flow_of(u0, T, StepperConfig(dt=dt))
         phi_exp = exp_map(u0, T, GeodesicConfig(dt=dt))
-        gap = np.max(np.abs(flows[-1][1].displacement.data
-                            - phi_exp.displacement.data))
+        gap = np.max(np.abs(phi.displacement.data - phi_exp.displacement.data))
         assert gap < 1e-6
 
-    def test_flow_requires_even_step_count(self, grid16, rng):
+    def test_flow_requires_even_step_count(self, grid16, rng, monkeypatch):
+        # rejected before any step
+        monkeypatch.setattr(eulerian, "step", None)
         u0 = random_div_free(grid16, rng, norm_value=0.1)
-        traj = solve(u0, 0.03, StepperConfig(dt=0.01))
-        with pytest.raises(ValueError):
-            flow_of(traj)
-
-    def test_flow_requires_every_state(self, grid16, rng):
-        u0 = random_div_free(grid16, rng, norm_value=0.1)
-        traj = solve(u0, 0.04, StepperConfig(dt=0.01))
-        with pytest.raises(ValueError, match='keep="all"'):
-            flow_of(traj)
+        with pytest.raises(ValueError, match="even number"):
+            flow_of(u0, 0.03, StepperConfig(dt=0.01))
 
     def test_vorticity_pullback_identity(self, grid32, rng):
         u = random_div_free(grid32, rng)
@@ -994,8 +1037,7 @@ class TestFlowAndPullback:
     def test_vorticity_transported(self, grid32, rng):
         u0 = random_div_free(grid32, rng, norm_value=0.4)
         T, dt = 0.2, 0.01
-        traj = solve(u0, T, StepperConfig(dt=dt), keep="all")
-        t_end, phi = flow_of(traj)[-1]
+        traj, phi = flow_of(u0, T, StepperConfig(dt=dt))
         om_t = vorticity(traj.final.u)
         pulled = vorticity_pullback(phi, om_t)
         om_0 = vorticity(u0)
