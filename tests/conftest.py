@@ -73,6 +73,22 @@ class FullLattice:
         return np.stack([ifft(self.deriv(fft(b), j)) for j in range(dim)])
 
 
+def unbuffered_spectra(bb, u_hat):
+    """Half spectra of B1(u), B2(u) and the advection (u . grad) u, not yet
+    dealiased, from that of u by the plain expression of an assembly
+    ``bb``: one transform and one temporary per product, B1's symbol
+    spread from its box to the whole half lattice."""
+    grid = bb.grid
+    u, du = grid.irfft(u_hat), grid.irfft(u_hat[:, None] * grid.deriv)
+    prods = np.stack([u[i] * u[k] for i, k in bb._pairs])
+    b1_sym = np.zeros((len(prods),) + grid.xi_sq.shape)
+    b1_sym[(slice(None),) + bb._box] = bb._b1_symbol
+    b1 = np.sum(b1_sym * grid.rfft(prods), axis=0)
+    b2 = bb._b2_symbol * grid.rfft(np.einsum("ik...,ki...->...", du, du))
+    adv = grid.rfft(sum(du[:, k] * u[k] for k in range(grid.dim)))
+    return b1, b2, adv
+
+
 def compose_all_nodes(f, phi, order):
     """Reference right translation f o phi: ``Interpolant`` evaluates f at
     phi(x) on every node."""

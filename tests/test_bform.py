@@ -17,7 +17,7 @@ from eulerlab import (
 )
 from eulerlab.spectral import VectorField
 
-from conftest import FullLattice, TracedPeak
+from conftest import FullLattice, TracedPeak, unbuffered_spectra
 
 TAU = 2.0 * np.pi
 
@@ -133,28 +133,55 @@ def test_grad_b_matches_full_spectrum_reference(dim, n, cutoff, rng):
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
-@pytest.mark.parametrize("dim,n,forward", [(2, 16, 4), (3, 8, 7)])
-def test_grad_b_skips_the_advection(dim, n, forward, rng, planes):
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+def test_grad_b_skips_the_advection(dim, n, rng, planes):
     # from a held spectrum: the d + d^2 planes of (u, du) inverse, the
-    # m products and the trace forward, and grad B inverse; the d
-    # advection planes rhs_hat needs are neither formed nor transformed
+    # trace forward (the products are contracted with the DFT rows of B1's
+    # band), and grad B inverse; the d advection planes rhs_hat needs are
+    # neither formed nor transformed
     grid = Grid(dim=dim, n=n, length=TAU)
     u = VectorField.from_hat(grid, grid.rfft(_white_noise(grid, rng).data))
     planes.update(dict.fromkeys(planes, 0))
     BAssembly(grid).grad_b(u)
-    assert planes == {"rfft": forward, "irfft": dim + dim * dim + dim}
+    assert planes == {"rfft": 1, "irfft": dim + dim * dim + dim}
 
 
-@pytest.mark.parametrize("dim,n,forward", [(2, 16, 4), (3, 8, 7)])
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
 @pytest.mark.parametrize("method", ["b", "b1", "b2"])
-def test_b_transform_count(dim, n, forward, method, rng, planes):
-    # as grad_b: (u, du) inverse, the products and the trace forward, and
-    # the one plane of B inverse
+def test_b_transform_count(dim, n, method, rng, planes):
+    # as grad_b: (u, du) inverse, the trace forward, and the one plane of
+    # B inverse
     grid = Grid(dim=dim, n=n, length=TAU)
     u = VectorField.from_hat(grid, grid.rfft(_white_noise(grid, rng).data))
     planes.update(dict.fromkeys(planes, 0))
     getattr(BAssembly(grid), method)(u)
-    assert planes == {"rfft": forward, "irfft": dim + dim * dim + 1}
+    assert planes == {"rfft": 1, "irfft": dim + dim * dim + 1}
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+@pytest.mark.parametrize("length,cutoff,band", [
+    (TAU, 0.5, 0),        # only the origin: B1 vanishes
+    (TAU, 1.0, 1),
+    (TAU, 3.0, 3),
+    (TAU, 100.0, None),   # the whole 2/3 box, K = n // 3
+    (8 * TAU, 1.0, 8),    # K = 8, or n // 3 in 3D
+])
+def test_band_contraction_matches_the_transform(dim, n, length, cutoff,
+                                                band, rng):
+    # B, B1 and grad B, with B1 contracted on its box |k_j| <= K, against
+    # the same expressions with every product transformed
+    grid = Grid(dim=dim, n=n, length=length)
+    bb = BAssembly(grid, cutoff=cutoff)
+    assert bb._b1_symbol.shape[-1] - 1 == min(n // 3, n if band is None
+                                              else band)
+    u = _white_noise(grid, rng)
+    b1, b2, _ = unbuffered_spectra(bb, u.hat)
+    for got, ref in ((bb.b(u), b1 + b2), (bb.b1(u), b1),
+                     (bb.grad_b(u), grid.deriv * (b1 + b2))):
+        ref = grid.irfft(ref)
+        assert np.max(np.abs(got.data - ref)) <= 1e-13 * np.max(np.abs(ref))
+    if band == 0:
+        assert not np.any(bb.b1(u).data)
 
 
 @pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])

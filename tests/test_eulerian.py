@@ -25,7 +25,7 @@ from eulerlab import (
 from eulerlab import eulerian
 from eulerlab.bform import BAssembly
 
-from conftest import FullLattice, TracedPeak
+from conftest import FullLattice, TracedPeak, unbuffered_spectra
 
 
 def test_rhs_divergence_free_input_gives_projected_advection(grid32, rng):
@@ -205,23 +205,25 @@ def test_monitors_match_field_norms(grid32, rng):
 
 
 def test_rhs_hat_transform_count(grid32, rng, planes):
-    # 2D: u and du inverse (2 + 4 planes); the 3 B1 products, the B2
-    # trace and the 2 advection components forward (6 planes)
+    # 2D: u and du inverse (2 + 4 planes); the B2 trace and the 2
+    # advection components forward (3 planes), the 3 B1 products
+    # contracted with the DFT rows of B1's band
     bb = BAssembly(grid32)
     u_hat = grid32.rfft(random_div_free(grid32, rng).data)
     planes.update(dict.fromkeys(planes, 0))
     bb.rhs_hat(u_hat)
-    assert planes == {"rfft": 6, "irfft": 6}
+    assert planes == {"rfft": 3, "irfft": 6}
 
 
 def test_rhs_hat_transform_count_3d(grid3d, rng, planes):
-    # 3D: u and du inverse (3 + 9 planes); the 6 B1 products, the B2
-    # trace and the 3 advection components forward (10 planes)
+    # 3D: u and du inverse (3 + 9 planes); the B2 trace and the 3
+    # advection components forward (4 planes), the 6 B1 products
+    # contracted with the DFT rows of B1's band
     bb = BAssembly(grid3d)
     u_hat = grid3d.rfft(random_div_free(grid3d, rng).data)
     planes.update(dict.fromkeys(planes, 0))
     bb.rhs_hat(u_hat)
-    assert planes == {"rfft": 10, "irfft": 12}
+    assert planes == {"rfft": 4, "irfft": 12}
 
 
 @pytest.mark.parametrize("dim,n,bound", [(2, 128, 27), (3, 32, 48)])
@@ -244,12 +246,12 @@ def test_solve_transforms_the_initial_field_once(grid32, rng, planes, n_steps):
     # random_div_free keeps the one its projection built, and a
     # samples-only copy is transformed once (2 planes); each later step
     # starts from the spectrum its field keeps, so an RK4 step costs its
-    # 4 rhs_hat calls of 6 forward planes only
+    # 4 rhs_hat calls of 3 forward planes only
     u0 = random_div_free(grid32, rng)
     for field, initial in ((u0, 0), (VectorField(grid32, u0.data), 2)):
         planes.update(dict.fromkeys(planes, 0))
         solve(field, n_steps * 0.01, StepperConfig(dt=0.01))
-        assert planes["rfft"] == 24 * n_steps + initial
+        assert planes["rfft"] == 12 * n_steps + initial
 
 
 def test_stored_states_keep_samples_only(grid32, rng):
@@ -318,21 +320,52 @@ def _white_noise_hat(grid, rng):
     return grid.rfft(0.3 * rng.standard_normal((grid.dim,) + grid.shape))
 
 
+def _b1_band(bb):
+    """Half-lattice mask of the modes where B1's symbol is nonzero."""
+    band = np.zeros(bb.grid.xi_sq.shape, dtype=bool)
+    band[bb._box] = np.any(bb._b1_symbol, axis=0)
+    return band
+
+
 @pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
 @pytest.mark.parametrize("cutoff", [1.0, 3.0])
-def test_rhs_hat_equals_unbuffered_expression(dim, n, cutoff, rng):
+def test_rhs_hat_equals_unbuffered_expression_off_the_b1_band(dim, n, cutoff,
+                                                              rng):
     # the workspace evaluation reproduces, value for value, the plain
-    # expression with one temporary per product
+    # expression with one temporary per product: the advection and B2
+    # everywhere, and so rhs_hat off the band where B1 lives
     grid = Grid(dim=dim, n=n, length=2.0 * np.pi)
     bb = BAssembly(grid, cutoff=cutoff)
     u_hat = _white_noise_hat(grid, rng)
-    u, du = grid.irfft(u_hat), grid.irfft(u_hat[:, None] * grid.deriv)
-    prods = np.stack([u[i] * u[k] for i, k in bb._pairs])
-    b_hat = (np.sum(bb._b1_symbol * grid.rfft(prods), axis=0)
-             + bb._b2_symbol * grid.rfft(np.einsum("ik...,ki...->...", du, du)))
-    adv = grid.rfft(sum(du[:, k] * u[k] for k in range(dim)))
-    expect = grid.deriv * b_hat - grid.dealias_mask * adv
-    assert np.array_equal(bb.rhs_hat(u_hat), expect)
+    b1, b2, adv = unbuffered_spectra(bb, u_hat)
+    b_hat, adv_hat = (s.copy() for s in bb._spectra(u_hat))
+    off = ~_b1_band(bb)
+    assert np.array_equal(adv_hat, adv)
+    assert np.array_equal(b_hat[off], b2[off])
+    expect = grid.deriv * (b1 + b2) - grid.dealias_mask * adv
+    assert np.array_equal(bb.rhs_hat(u_hat)[:, off], expect[:, off])
+
+
+@pytest.mark.parametrize("dim,n", [(2, 32), (3, 16)])
+@pytest.mark.parametrize("cutoff", [1.0, 3.0])
+def test_rhs_hat_b1_agrees_with_transformed_products(dim, n, cutoff, rng):
+    # on its band B1 comes from the products contracted with the band's
+    # DFT rows, not from their FFT.  Both take a coefficient as a mean of
+    # the product's samples in another order, so they agree to eps times
+    # the largest sample (read: below 1.5e-17 of it), and rhs_hat to that
+    # times |xi| <= cutoff
+    grid = Grid(dim=dim, n=n, length=2.0 * np.pi)
+    bb = BAssembly(grid, cutoff=cutoff)
+    u_hat = _white_noise_hat(grid, rng)
+    b1, b2, adv = unbuffered_spectra(bb, u_hat)
+    u = grid.irfft(u_hat)
+    tol = np.finfo(float).eps * max(np.max(np.abs(u[i] * u[k]))
+                                    for i, k in bb._pairs)
+    band = _b1_band(bb)
+    b_hat = bb._spectra(u_hat)[0]
+    assert np.max(np.abs(b_hat[band] - b1[band])) <= tol
+    expect = grid.deriv * (b1 + b2) - grid.dealias_mask * adv
+    assert np.max(np.abs(bb.rhs_hat(u_hat) - expect)) <= tol * cutoff
 
 
 def test_rhs_hat_keeps_input_and_earlier_results(grid3d, rng):
