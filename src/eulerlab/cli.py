@@ -93,6 +93,9 @@ class RunConfig:
             (self.k_max >= 1, "k_max must be >= 1"),
             (self.cutoff > 0, "cutoff must be positive"),
             (self.amplitude > 0, "amplitude must be positive"),
+            # also where no random field is drawn, so that a seed is
+            # refused or taken whatever the other fields are
+            (self.seed >= 0, "seed must be non-negative"),
         ]
         for ok, msg in checks:
             if not ok:

@@ -108,6 +108,10 @@ def biot_savart(omega: MatrixField) -> VectorField:
 # ---------------------------------------------------------------------------
 
 _MOLLIFIER_NODES = 512
+# radii per quadrature product: 512 x _MOLLIFIER_NODES = 2^18 multiply-adds,
+# a size OpenBLAS runs on one thread, so the profile does not depend on
+# the BLAS thread count
+_MOLLIFIER_BLOCK = 512
 
 
 def _mollifier_profile(q: np.ndarray, dim: int) -> np.ndarray:
@@ -121,17 +125,18 @@ def _mollifier_profile(q: np.ndarray, dim: int) -> np.ndarray:
 
     r = (np.arange(_MOLLIFIER_NODES) + 0.5) / _MOLLIFIER_NODES
     rho = np.exp(-1.0 / (1.0 - r * r))
+    weight = r * rho if dim == 2 else r * r * rho
     qf = np.asarray(q, dtype=np.float64).ravel()
-    if dim == 2:
-        weight = r * rho
-        kernel = j0(np.outer(qf, r))
-    else:
-        weight = r * r * rho
-        qr = np.outer(qf, r)
-        kernel = np.ones_like(qr)
-        nz = qr != 0
-        kernel[nz] = np.sin(qr[nz]) / qr[nz]
-    vals = kernel @ weight
+    vals = np.empty(qf.size)
+    for i in range(0, qf.size, _MOLLIFIER_BLOCK):
+        qr = np.outer(qf[i:i + _MOLLIFIER_BLOCK], r)
+        if dim == 2:
+            kernel = j0(qr)
+        else:
+            kernel = np.ones_like(qr)
+            nz = qr != 0
+            kernel[nz] = np.sin(qr[nz]) / qr[nz]
+        vals[i:i + _MOLLIFIER_BLOCK] = kernel @ weight
     vals /= np.sum(weight)
     return vals.reshape(np.shape(q))
 
@@ -181,23 +186,32 @@ def _sum_sq(dists) -> np.ndarray:
     return d2
 
 
-def bump(grid: Grid, center, r: float, amplitude: float = 1.0) -> ScalarField:
-    """C^inf bump a * exp(-r^2/(r^2 - |y - x|^2)) on |y - x| < r, 0 outside.
-
-    The expression is evaluated only on the box of nodes within r of x
-    along every axis (d_j^2 < r^2 as computed: the sum of squares, added
-    in the same order, is no smaller than any of its terms), a box that
-    may wrap across the periodic seam; every other node is 0.  Each node
-    of the box gets the expression it gets on the whole grid.
-    """
+def _bump_box(grid: Grid, center, r: float, amplitude: float = 1.0):
+    """(box, vals): ``box`` holds, per axis, the sorted indices of the
+    nodes within r of the centre along that axis (d_j^2 < r^2 as
+    computed: the sum of squares, added in the same order, is no smaller
+    than any of its terms), and ``vals`` the bump of ``bump`` on the box
+    ``np.ix_(*box)``, which may wrap across the periodic seam; the bump is
+    0 at every other node."""
     center = _check_support(grid, center, r)
     r2 = r * r
     dists = [_axis_dist(grid, c) for c in center]
     box = [np.flatnonzero(d * d < r2) for d in dists]
     d2 = _sum_sq([d[i] for d, i in zip(dists, box)])
     inside = d2 < r2
-    vals_box = np.zeros(d2.shape)
-    vals_box[inside] = amplitude * np.exp(-r2 / (r2 - d2[inside]))
+    vals = np.zeros(d2.shape)
+    vals[inside] = amplitude * np.exp(-r2 / (r2 - d2[inside]))
+    return box, vals
+
+
+def bump(grid: Grid, center, r: float, amplitude: float = 1.0) -> ScalarField:
+    """C^inf bump a * exp(-r^2/(r^2 - |y - x|^2)) on |y - x| < r, 0 outside.
+
+    The expression is evaluated only on the box of nodes within r of x
+    along every axis (``_bump_box``); every other node is 0.  Each node
+    of the box gets the expression it gets on the whole grid.
+    """
+    box, vals_box = _bump_box(grid, center, r, amplitude)
     vals = np.zeros(grid.shape)
     vals[np.ix_(*box)] = vals_box
     return ScalarField(grid, vals)

@@ -22,9 +22,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .eulerian import BlowUpError, StepperConfig, _step_count, solve
-from .fields import _axis_dist, _smooth_step, bump, div_free_bump, vorticity
-from .lagrangian import Diffeo, GeodesicConfig, compose, exp_map, invert
-from .spectral import Grid, ScalarField, VectorField, chi_cutoff, sobolev_norm
+from .fields import _axis_dist, _bump_box, _smooth_step, div_free_bump, vorticity
+from .interp import _shifted_lines
+from .lagrangian import Diffeo, GeodesicConfig, exp_map, invert
+from .spectral import (
+    Grid,
+    VectorField,
+    _power,
+    _rfft_rows,
+    _sobolev_weight,
+    chi_cutoff,
+    sobolev_norm,
+)
 
 __all__ = [
     "SeparationSeries",
@@ -35,12 +44,12 @@ __all__ = [
     "dexp_richardson",
 ]
 
-# spline order of each row's compose and of its invert call; the row's map
-# is a strip shear, so invert returns its exact inverse and compose applies
-# that inverse line by line as a Fourier multiplier, neither interpolating.
-# The composed field is df_k alone: the base bump f_base, off every line
-# the shear moves, would come out of compose as it went in and cancel
-# from the gap, so no row forms it
+# spline order of each row's composition and of its invert call; the
+# row's map is a strip shear, so invert returns its exact inverse and the
+# row applies that inverse line by line as a Fourier multiplier, neither
+# interpolating.  The composed field is df_k alone: the base bump f_base,
+# off every line the shear moves, would come out of the composition as it
+# went in and cancel from the gap, so no row forms it
 _COMPOSITION_ORDER = 5
 
 
@@ -96,8 +105,8 @@ def composition_experiment(R: float = 0.1, k_max: int = 13, s: float = 2.5,
     radius delta1/k at a remote point x_star with ||df_k||_s = R/2, and
     differs in the diffeomorphism component by a localized translation
     field dphi/k (a volume-preserving shear plateau of amplitude M in the
-    first coordinate, so phi_k moves the support of df_k rigidly by
-    M/k e_1 while fixing the support of f_base).
+    second coordinate, so phi_k moves the support of df_k rigidly by
+    M/k e_2 while fixing the support of f_base).
 
     Input gap = ||dphi||_s / k decays exactly like 1/k; the output gap
     stays at the order of 2 ||df_k||_s = R because the translation by
@@ -119,12 +128,19 @@ def composition_experiment(R: float = 0.1, k_max: int = 13, s: float = 2.5,
     radius).
 
     The base point cancels, so f_base (a bump of radius r_base = 1 at
-    (L/4, 3L/4)) is never built.  The box check keeps the strip, and so
+    (3L/4, L/4)) is never built.  The box check keeps the strip, and so
     every line phi_k moves, off f_base's support: there f_base + df_k is
-    df_k, and on every other line compose copies the samples.  So
+    df_k, and on every other line the composition copies the samples.  So
     nu(f_base, phi_k) is f_base itself, and nu(f_base + df_k, phi_k) -
-    (f_base + df_k) is compose(df_k, psi_k) - df_k sample for sample,
-    which is what the rows compute.
+    (f_base + df_k) is df_k o psi_k - df_k sample for sample, which is
+    what the rows compute.
+
+    The strip varies along the first axis and shears along the last, so
+    the lines it moves are rows (lines along the last axis), and df_k,
+    its composition and the gap are zero off df_k's rows.  A zero row
+    transforms to exact zeros, so every spectrum a row's norms read is
+    ``Grid.rfft`` of the full plane bit for bit, taken from the nonzero
+    rows alone (``spectral._rfft_rows``).
     """
     if grid is None:
         grid = Grid(dim=2, n=1024, length=2.0 * np.pi)
@@ -137,7 +153,7 @@ def composition_experiment(R: float = 0.1, k_max: int = 13, s: float = 2.5,
     L = grid.length
     x_star = np.array([0.25 * L, 0.25 * L])
     strip_flat, strip_out, r_base = 0.4, 1.0, 1.0
-    # the base bump sits at (L/4, 3L/4): half a box, along the axis the
+    # the base bump sits at (3L/4, L/4): half a box, along the axis the
     # strip varies in, from the strip's centre line
     if strip_out + r_base >= 0.5 * L:
         raise ValueError(
@@ -145,10 +161,20 @@ def composition_experiment(R: float = 0.1, k_max: int = 13, s: float = 2.5,
             f"{strip_out}) and the base bump (radius {r_base}) must not overlap"
         )
 
-    # unit-amplitude localized translation field, constant on the strip
-    prof = M * _axis_plateau(grid, 1, x_star[1], strip_flat, strip_out)
-    dphi = VectorField(grid, np.stack([prof, np.zeros(grid.shape)]))
-    dphi_norm = sobolev_norm(ScalarField(grid, prof), s)  # its one nonzero component
+    # unit-amplitude localized translation field along e_2, constant on
+    # the strip and along e_2: its samples are a read-only broadcast view
+    # of one column per component
+    prof = M * _axis_plateau(grid, 0, x_star[0], strip_flat, strip_out)[:, :1]
+    dphi = VectorField(grid, np.broadcast_to(np.stack([np.zeros_like(prof), prof]),
+                                             (2,) + grid.shape))
+    # ||dphi||_s is that of its profile along one axis.  The H^s weight
+    # is symmetric in the axes, so take the profile along the last axis:
+    # constant along the first, its half spectrum is the profile's rfft
+    # on the line k_0 = 0 and zero elsewhere, which is what rfftn gives
+    # bit for bit, so the input gap is that of a full-plane transform
+    strip_hat = np.zeros(grid.xi_sq.shape, dtype=np.complex128)
+    strip_hat[0] = np.fft.rfft(prof[:, 0], norm="forward")
+    dphi_norm = _hs_norm(strip_hat, _sobolev_weight(grid, s))
 
     ks = np.arange(1, k_max + 1)
     in_gap = np.empty(k_max)
@@ -156,23 +182,20 @@ def composition_experiment(R: float = 0.1, k_max: int = 13, s: float = 2.5,
     out_sum = np.empty(k_max)
     resolved = np.empty(k_max)
     trusted = np.empty(k_max)
-    with warnings.catch_warnings():
-        # near-cell-size bumps (and on small grids the strip and the base
-        # bump) trip the Nyquist-content warning by design; the
-        # resolved/trusted flags carry that information
-        warnings.simplefilter("ignore", UserWarning)
-        try:
-            for i, k in enumerate(ks):
-                dk = delta1 / k
-                out_gap[i], out_sum[i] = _composition_row(dphi, k, x_star,
-                                                          dk, R, s)
-                if not (np.isfinite(out_gap[i]) and np.isfinite(out_sum[i])):
-                    raise ValueError("its H^s norms pass the float range")
-                in_gap[i] = dphi_norm / k
-                resolved[i] = float(dk >= 4.0 * grid.spacing)
-                trusted[i] = float(dk >= 8.0 * grid.spacing)
-        except ValueError as exc:  # non-finite samples or norms
-            raise BlowUpError(f"composition row k = {k} failed: {exc}") from exc
+    # near-cell-size bumps carry unpaired Nyquist content by design; the
+    # rows compose without the check that would warn of it, and the
+    # resolved/trusted flags carry that information
+    try:
+        for i, k in enumerate(ks):
+            dk = delta1 / k
+            out_gap[i], out_sum[i] = _composition_row(dphi, k, x_star, dk, R, s)
+            if not (np.isfinite(out_gap[i]) and np.isfinite(out_sum[i])):
+                raise ValueError("its H^s norms pass the float range")
+            in_gap[i] = dphi_norm / k
+            resolved[i] = float(dk >= 4.0 * grid.spacing)
+            trusted[i] = float(dk >= 8.0 * grid.spacing)
+    except ValueError as exc:  # non-finite samples or norms
+        raise BlowUpError(f"composition row k = {k} failed: {exc}") from exc
 
     return SeparationSeries(
         ks, in_gap, out_gap,
@@ -184,27 +207,53 @@ def composition_experiment(R: float = 0.1, k_max: int = 13, s: float = 2.5,
     )
 
 
+def _hs_norm(hat: np.ndarray, weight: np.ndarray) -> float:
+    """``sobolev_norm`` of the field whose half spectrum is ``hat``, for
+    the H^s weight plane ``weight`` (``spectral._sobolev_weight``)."""
+    return float(np.sqrt(_power(hat, weight)))
+
+
 def _composition_row(dphi, k, x_star, dk: float, R: float, s: float):
-    """(output_gap, output_gap_sum) of row k of the composition series, in
-    a scope of its own so that its fields are freed before the next row
-    allocates.  The base bump cancels (see ``composition_experiment``), so
-    the row composes df_k alone: nu(f_base + df_k, phi_k) - (f_base + df_k)
-    is df_k o psi_k - df_k.  The fields built here by linear arithmetic
-    keep their operands' spectra, so the row transforms only df_k and the
-    output gap on the whole grid; composing df_k with the shear psi_k
-    transforms only the nonzero lines along the first axis that psi_k
-    moves, and its unpaired-Nyquist check reads the spectrum df_k holds."""
-    df = bump(dphi.grid, x_star, r=dk)
-    df = df * (0.5 * R / sobolev_norm(df, s))
-    # samples only: invert returns the strip shear's inverse from them
-    psi_k = invert(Diffeo(VectorField(dphi.grid, dphi.data * (1.0 / k))),
-                   order=_COMPOSITION_ORDER)
-    gap = compose(df, psi_k, order=_COMPOSITION_ORDER) - df
-    out_gap = sobolev_norm(gap, s)
-    # nu(f_base, phi_k) = f_base, so nu_pert - f_base = gap + df, which
-    # keeps the spectra the two norms left on gap and df
-    half_a = gap + df
-    return out_gap, sobolev_norm(half_a, s) + sobolev_norm(df, s)
+    """(output_gap, output_gap_sum) of row k of the composition series,
+    computed on df_k's rows.  The base bump cancels (see
+    ``composition_experiment``), so the row composes df_k alone:
+    nu(f_base + df_k, phi_k) - (f_base + df_k) is df_k o psi_k - df_k.
+
+    df_k's rows come from ``bump``'s own box (``fields._bump_box``) and
+    are scaled with their spectrum by c, as ``df * c`` scales a field's
+    samples and held spectrum.  psi_k is ``invert``'s exact inverse of
+    the strip shear; its shift per row, read as ``lagrangian.compose``
+    reads it, moves the strip's rows by ``interp._shifted_lines``, whose
+    multipliers span every moved row's shift, as in ``compose``.  So the
+    gap's samples are those of ``compose(df_k, psi_k) - df_k``.  The norms
+    read ``spectral._rfft_rows`` of df_k's and of the gap's rows, and the
+    spectrum of gap + df_k is the sum of the two, as field arithmetic
+    keeps it.  Non-finite samples pass through to the norms without a
+    warning, and the series reports them there."""
+    grid = dphi.grid
+    weight = _sobolev_weight(grid, s)
+    # samples only, a broadcast view: invert returns the strip shear's
+    # inverse from them, of which the row keeps the shift per row
+    shear = np.broadcast_to(dphi.data[..., :1] * (1.0 / k), dphi.data.shape)
+    t = invert(Diffeo(VectorField(grid, shear)),
+               order=_COMPOSITION_ORDER).displacement.data[1, :, 0] / grid.spacing
+    moved = np.flatnonzero(t)
+    (rows, cols), vals = _bump_box(grid, x_star, dk)
+    df = np.zeros((rows.size, grid.n))
+    df[:, cols] = vals
+    df_hat = _rfft_rows(grid, rows, df)
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = float(0.5 * R / _hs_norm(df_hat, weight))
+        df *= c
+        df_hat *= c
+        lines = np.zeros((moved.size, grid.n))
+        live = np.searchsorted(moved, rows)  # df_k's rows all move
+        lines[live] = df
+        gap = _shifted_lines(lines, t[moved], _COMPOSITION_ORDER)[live] - df
+        gap_hat = _rfft_rows(grid, rows, gap)
+        out_gap, df_norm = _hs_norm(gap_hat, weight), _hs_norm(df_hat, weight)
+        gap_hat += df_hat  # the spectrum of gap + df_k
+        return out_gap, _hs_norm(gap_hat, weight) + df_norm
 
 
 _PACKET_RADIUS = 0.7  # support radius of the wave packets w_k

@@ -196,6 +196,22 @@ class Grid:
         return np.fft.irfft(hat, n=self.n, axis=-1, norm="forward", out=out)
 
 
+def _rfft_rows(grid: Grid, index, rows: np.ndarray) -> np.ndarray:
+    """``Grid.rfft`` of the samples that are ``rows`` on the lines along
+    the last axis that ``index`` selects (an index into the other axes)
+    and zero on every other line, from those lines alone.
+
+    A zero line transforms to exact zeros, so the last axis's ``rfft``
+    runs on ``rows`` only; the complex passes then run in place along
+    the other axes, in the order and with the scaling ``rfftn`` uses, so
+    the result is ``Grid.rfft`` of the full samples bit for bit."""
+    hat = np.zeros(grid.xi_sq.shape, dtype=np.complex128)
+    hat[index] = np.fft.rfft(rows, axis=-1, norm="forward")
+    for axis in range(-2, -grid.dim - 1, -1):
+        np.fft.fft(hat, axis=axis, norm="forward", out=hat)
+    return hat
+
+
 def _check_same_grid(*objs) -> Grid:
     grid = objs[0].grid if hasattr(objs[0], "grid") else objs[0]
     for o in objs[1:]:

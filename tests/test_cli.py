@@ -108,14 +108,28 @@ class TestExitCodes:
         assert "not a multiple of dt" in capsys.readouterr().err
 
     def test_non_finite_composition_row_is_numeric(self, tmp_path, monkeypatch):
-        # a NaN sample reaching a field constructor inside the row loop
+        # NaN samples out of a row's composition reach its norms
         from eulerlab import illposedness
 
-        monkeypatch.setattr(illposedness, "compose", lambda f, phi, order: type(f)(
-            f.grid, np.full_like(f.data, np.nan)))
+        monkeypatch.setattr(illposedness, "_shifted_lines", lambda lines, t, order:
+                            np.full_like(lines, np.nan))
         code = run(["illposedness", "--experiment", "composition", "--N", "64",
                     "--out", tmp_path / "c"])
         assert code == EXIT_NUMERIC
+
+    @pytest.mark.parametrize("command", [
+        ["simulate", "--initial", "taylor-green", "--T", "0.01", "--dt", "0.01"],
+        ["illposedness", "--experiment", "composition"],
+    ])
+    def test_negative_seed_is_2_where_no_field_is_random(self, command,
+                                                         tmp_path, capsys):
+        # numpy refuses a negative seed only when a random field is drawn;
+        # these runs draw none and took it
+        out = tmp_path / "o"
+        code = run([*command, "--N", "16", "--seed", "-1", "--out", out])
+        assert code == EXIT_CONFIG
+        assert "config error: seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_solution_map_row_is_numeric(self, tmp_path, monkeypatch):
         from eulerlab import illposedness
@@ -518,6 +532,29 @@ class TestExitCodeContract:
                         f"--amplitude={amplitude!r}", "--out", out])
         assert code in (EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_NUMERIC)
         assert code != EXIT_CONFIG or not out.exists()
+
+    # the initial field's remaining RunConfig fields: the dimension (3D
+    # Taylor-Green is refused) and the seed, drawn with the amplitude;
+    # the default amplitude as a third of the draws
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(dynamics=st.sampled_from(["eulerian", "geodesic"]),
+           initial=st.sampled_from(["random", "taylor-green"]),
+           dim=st.sampled_from([2, 3]),
+           seed=st.sampled_from([0, -1, 2**63, 2**64, -2**63, 2**128])
+           | st.integers(),
+           amplitude=st.just(0.5) | _edge_or_log_uniform(_AMPLITUDE_EDGES))
+    def test_simulate_initial_field(self, tmp_path_factory, dynamics, initial,
+                                    dim, seed, amplitude):
+        out = tmp_path_factory.mktemp("contract") / "o"
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = run(["simulate", "--dynamics", dynamics, f"--n={dim}",
+                        "--N", "8", "--T", "0.01", "--dt", "0.01",
+                        "--initial", initial, f"--seed={seed}",
+                        f"--amplitude={amplitude!r}", "--out", out])
+        assert code in (EXIT_OK, EXIT_FAIL, EXIT_CONFIG, EXIT_NUMERIC)
+        assert code != EXIT_CONFIG or not out.exists()
+        assert seed >= 0 or code == EXIT_CONFIG
 
     # the default --s and --L as a third of the draws, so that runs with
     # another drawn field get past the parameter checks

@@ -223,6 +223,17 @@ class TestMollify:
         assert errs[1] < errs[0]
         assert errs[1] < 0.05 * sobolev_norm(f, 0.0)
 
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_profile_does_not_depend_on_the_blas_threads(self, dim):
+        # 33,025 radii, about the distinct |xi| of a 2D N = 256 half
+        # lattice: one unblocked quadrature product runs on more than one
+        # OpenBLAS thread on a multi-core host and rounds differently from
+        # products of 512 radii, which run on one
+        q = np.linspace(0.0, 200.0, 33025)
+        pieces = [_mollifier_profile(q[i:i + 512], dim)
+                  for i in range(0, q.size, 512)]
+        assert np.array_equal(_mollifier_profile(q, dim), np.concatenate(pieces))
+
 
 def test_taylor_green_is_divergence_free_eigenfield(grid32):
     u = taylor_green(grid32)

@@ -10,6 +10,7 @@ from eulerlab import (
     Diffeo,
     GeodesicConfig,
     Grid,
+    ScalarField,
     SeparationSeries,
     VectorField,
     bump,
@@ -27,7 +28,7 @@ from eulerlab import illposedness
 from eulerlab.fields import _smooth_step
 from eulerlab.interp import Interpolant
 
-from conftest import compose_all_nodes
+from conftest import TracedPeak, compose_all_nodes
 
 TAU = 2.0 * np.pi
 
@@ -68,22 +69,33 @@ def series():
                                   grid=Grid(dim=2, n=256, length=TAU))
 
 
-def _row_with_base(dphi, k, x_star, dk, R, s):
-    """A composition row that forms the base point, as the rows did before
-    it was dropped: f_base, the bump of radius 1 at (L/4, 3L/4) normalised
-    in H^s, plus df_k is composed with psi_k, and the gap is taken against
-    f_base + df_k."""
+def _row_with_base(dphi, k, x_star, dk, R, s, compose=compose):
+    """A composition row on full planes that forms the base point, as the
+    rows did before they moved to df_k's rows and before the base point
+    was dropped: f_base, the bump of radius 1 at (3L/4, L/4) normalised in
+    H^s, plus df_k is composed with psi_k by ``compose``, the gap is taken
+    against f_base + df_k, and every norm is ``sobolev_norm`` of a field.
+    The gap's norm comes first, so that gap + df_k holds the sum of the
+    two spectra, as in the full-plane rows."""
     grid = dphi.grid
-    f_base = bump(grid, [0.25 * grid.length, 0.75 * grid.length], r=1.0)
+    f_base = bump(grid, [0.75 * grid.length, 0.25 * grid.length], r=1.0)
     f_base = f_base * (1.0 / sobolev_norm(f_base, s))
     df = bump(grid, x_star, r=dk)
     df = df * (0.5 * R / sobolev_norm(df, s))
     nu_base = f_base + df
     psi_k = invert(Diffeo(VectorField(grid, dphi.data * (1.0 / k))),
                    order=illposedness._COMPOSITION_ORDER)
-    gap = compose(nu_base, psi_k, order=illposedness._COMPOSITION_ORDER) - nu_base
+    with warnings.catch_warnings():  # near-cell-size bumps, by design
+        warnings.simplefilter("ignore", UserWarning)
+        comp = compose(nu_base, psi_k, order=illposedness._COMPOSITION_ORDER)
+    gap = comp - nu_base
+    out_gap = sobolev_norm(gap, s)
     half_a = gap + df
-    return sobolev_norm(gap, s), sobolev_norm(half_a, s) + sobolev_norm(df, s)
+    return out_gap, sobolev_norm(half_a, s) + sobolev_norm(df, s)
+
+
+def _compose_all_nodes(f, phi, order):
+    return type(f)(f.grid, compose_all_nodes(f, phi, order))
 
 
 class TestAxisPlateau:
@@ -115,8 +127,8 @@ class TestCompositionExperiment:
         assert np.all(np.abs(sums - 0.1) < 0.02)
 
     def test_small_grid_row_raises_no_warning(self):
-        # on 16 points the compositions trip the Nyquist-content warning
-        # (the strip's inversion interpolates nothing); the row silences it
+        # on 16 points df_k fills the Nyquist lines, which compose would
+        # warn of; the rows compose without that check
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             composition_experiment(R=0.1, k_max=2,
@@ -136,25 +148,31 @@ class TestCompositionExperiment:
         assert len(built) == 0
 
     def test_series_reuses_what_it_holds(self, planes, monkeypatch):
-        # 4 rows at N = 128: the H^s norm of the strip map's one nonzero
-        # component (1 plane) and, per row, of df_k and of the gap (1
-        # plane each); the spectra of the scaled df_k and of gap + df_k
-        # follow from held ones, the strip map's inverse from its samples
-        # alone, and df_k o psi_k
-        # from 1-D line transforms, so no row prefilters or evaluates
-        # anything, and no plane is spent on the base bump, which cancels
-        # (rfft, irfft and at: 27, 8 and 12 before any of these; 11, 8 and
-        # 8 while invert still interpolated the strip map; 11, 4 and 4
-        # while compose still prefiltered and evaluated f_base + df_k; 11,
-        # 0 and 0 while the series still built f_base; 10, 0 and 0 while
-        # the strip map's norm also transformed its zero component)
-        calls = []
+        # 4 rows at N = 128: the strip map's H^s norm reads the 1-D rfft of
+        # its profile, and each row transforms df_k's rows and the gap's,
+        # which are the same 13, 7, 5 and 3 rows (|i - n/4| h < delta1/k):
+        # no plane is transformed.  The spectra of the scaled df_k and of
+        # gap + df_k follow from those two, the strip map's inverse from
+        # its samples alone, and df_k o psi_k from 1-D line transforms, so
+        # no row prefilters or evaluates anything, and no plane is spent
+        # on the base bump, which cancels (rfft, irfft and at: 27, 8 and
+        # 12 planes before any of these; 11, 8 and 8 while invert still
+        # interpolated the strip map; 11, 4 and 4 while compose still
+        # prefiltered and evaluated f_base + df_k; 11, 0 and 0 while the
+        # series still built f_base; 10, 0 and 0 while the strip map's
+        # norm also transformed its zero component; 9, 0 and 0 planes of
+        # 128 rows while the rows worked on full planes)
+        calls, rows = [], []
         at = Interpolant.at
         monkeypatch.setattr(Interpolant, "at", lambda self, p:
                             calls.append(1) or at(self, p))
+        rfft_rows = illposedness._rfft_rows
+        monkeypatch.setattr(illposedness, "_rfft_rows", lambda grid, index, r:
+                            rows.append(len(r)) or rfft_rows(grid, index, r))
         composition_experiment(R=0.1, k_max=4,
                                grid=Grid(dim=2, n=128, length=TAU))
-        assert planes["rfft"] == 9
+        assert rows == [13, 13, 7, 7, 5, 5, 3, 3]
+        assert planes["rfft"] == 0
         assert planes["irfft"] == 0
         assert len(calls) == 0
 
@@ -162,9 +180,9 @@ class TestCompositionExperiment:
     def test_strip_maps_fix_the_base_bump(self, monkeypatch, n, k_max):
         # the rows drop the base bump: each inverse strip map psi_k must
         # fix every node where f_base, the bump of radius r_base = 1 at
-        # (L/4, 3L/4), is nonzero, so that compose returns f_base as it is
+        # (3L/4, L/4), is nonzero, so that compose returns f_base as it is
         grid = Grid(dim=2, n=n, length=TAU)
-        f_base = bump(grid, [0.25 * TAU, 0.75 * TAU], r=1.0)
+        f_base = bump(grid, [0.75 * TAU, 0.25 * TAU], r=1.0)
         maps = []
         invert = illposedness.invert
         monkeypatch.setattr(illposedness, "invert", lambda *a, **kw:
@@ -181,10 +199,11 @@ class TestCompositionExperiment:
             assert np.array_equal(got.data, f_base.data)
 
     @pytest.mark.parametrize("R", [0.05, 0.1, 0.2])
-    @pytest.mark.parametrize("n, k_max", [(128, 5), (512, 4)])
+    @pytest.mark.parametrize("n, k_max", [(128, 5), (512, 4), (1024, 3)])
     def test_rows_without_the_base_bump(self, monkeypatch, n, k_max, R):
-        # a row that builds f_base + df_k and composes it, as the rows did
-        # before the base bump was dropped, gives every column bit for bit
+        # a row on full planes that builds f_base + df_k and composes it,
+        # as the rows did before they moved to df_k's rows and dropped the
+        # base bump, gives every column bit for bit
         grid = Grid(dim=2, n=n, length=TAU)
         got = composition_experiment(R=R, k_max=k_max, grid=grid)
         monkeypatch.setattr(illposedness, "_composition_row", _row_with_base)
@@ -197,27 +216,43 @@ class TestCompositionExperiment:
             assert np.array_equal(a, b), name
 
     def test_row_compose_matches_interpolant(self, monkeypatch):
-        # each row composes df_k with its strip shear line by line;
-        # Interpolant evaluates the same spline at every node
-        rows = []
-        comp = illposedness.compose
-        monkeypatch.setattr(illposedness, "compose", lambda f, phi, order:
-                            rows.append((f, phi, comp(f, phi, order))) or rows[-1][2])
+        # each row composes df_k with its strip shear by shifting the rows
+        # psi_k moves; Interpolant evaluates the same spline at every node
+        # of the plane those rows make, moved by psi_k
+        grid = Grid(dim=2, n=512, length=TAU)
+        maps, shifts = [], []
+        invert, shifted = illposedness.invert, illposedness._shifted_lines
+
+        def recorded(lines, t, order):
+            before = lines.copy()
+            shifts.append((before, order, shifted(lines, t, order)))
+            return shifts[-1][2]
+        monkeypatch.setattr(illposedness, "invert", lambda *a, **kw:
+                            maps.append(invert(*a, **kw)) or maps[-1])
+        monkeypatch.setattr(illposedness, "_shifted_lines", recorded)
+        composition_experiment(R=0.1, k_max=4, grid=grid)
+        assert len(shifts) == 4
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)
-            composition_experiment(R=0.1, k_max=4,
-                                   grid=Grid(dim=2, n=512, length=TAU))
-            for f, phi, got in (rows[0], rows[3]):  # k = 1 and 4
-                ref = compose_all_nodes(f, phi, illposedness._COMPOSITION_ORDER)
-                assert (np.max(np.abs(got.data - ref))
+            for i in (0, 3):  # k = 1 and 4
+                psi, (lines, order, got) = maps[i], shifts[i]
+                assert order == illposedness._COMPOSITION_ORDER
+                moved = np.any(psi.displacement.data != 0.0, axis=(0, 2))
+                f = np.zeros(grid.shape)
+                f[moved] = lines
+                ref = compose_all_nodes(ScalarField(grid, f), psi, order)[moved]
+                assert np.abs(got).max() > 0.1 * np.abs(lines).max()
+                assert (np.max(np.abs(got - ref))
                         <= 1e-14 * np.max(np.abs(ref)))
 
     @pytest.mark.parametrize("n, k_max", [(128, 5), (512, 3)])
     def test_series_matches_all_node_interpolation(self, monkeypatch, n, k_max):
+        # against full-plane rows whose composition evaluates the spline
+        # at every node
         grid = Grid(dim=2, n=n, length=TAU)
         got = composition_experiment(R=0.1, k_max=k_max, grid=grid)
-        monkeypatch.setattr(illposedness, "compose", lambda f, phi, order: type(f)(
-            f.grid, compose_all_nodes(f, phi, order)))
+        monkeypatch.setattr(illposedness, "_composition_row", lambda *a:
+                            _row_with_base(*a, compose=_compose_all_nodes))
         ref = composition_experiment(R=0.1, k_max=k_max, grid=grid)
         assert np.array_equal(got.input_gap, ref.input_gap)
         for name in ("resolved", "trusted"):
@@ -225,6 +260,21 @@ class TestCompositionExperiment:
         for a, b in ((got.output_gap, ref.output_gap),
                      (got.extras["output_gap_sum"], ref.extras["output_gap_sum"])):
             assert np.max(np.abs(a - b) / b) <= 1e-12
+
+    def test_row_transient_memory(self, monkeypatch):
+        # a row holds df_k's rows, its shifted rows and a few half spectra
+        # (2 MiB each at N = 512) besides invert's argument, a broadcast
+        # view, and its 4 MiB result; full-plane rows peaked at 18 MiB
+        rows = []
+        row = illposedness._composition_row
+        monkeypatch.setattr(illposedness, "_composition_row", lambda *a:
+                            rows.append(a) or row(*a))
+        composition_experiment(R=0.1, k_max=2,
+                               grid=Grid(dim=2, n=512, length=TAU))
+        row(*rows[1])  # warm-up
+        with TracedPeak() as traced:
+            row(*rows[1])
+        assert traced.peak <= 12 * 2**20
 
     def test_metadata_recorded(self, series):
         assert series.metadata["experiment"] == "composition"
@@ -248,7 +298,8 @@ class TestCompositionExperiment:
 
         def no_field(*args, **kwargs):
             raise AssertionError("a field was built")
-        monkeypatch.setattr(illposedness, "bump", no_field)
+        monkeypatch.setattr(illposedness, "_axis_plateau", no_field)
+        monkeypatch.setattr(illposedness, "_bump_box", no_field)
         with pytest.raises(ValueError, match="composition experiment is 2D only"):
             composition_experiment(k_max=2, grid=Grid(dim=3, n=16, length=TAU))
 

@@ -20,6 +20,7 @@ from eulerlab import (
     sobolev_inner,
     sobolev_norm,
 )
+from eulerlab.spectral import _rfft_rows
 
 from conftest import FullLattice, TracedPeak
 
@@ -74,6 +75,21 @@ class TestGrid:
         data = rng.standard_normal(grid16.shape)
         back = grid16.irfft(grid16.rfft(data))
         assert np.max(np.abs(back - data)) < 1e-13
+
+    @pytest.mark.parametrize("dim, n", [(2, 8), (2, 64), (2, 512), (3, 16)])
+    def test_rows_transform_is_the_plane_transform(self, dim, n, rng):
+        # random lines along the last axis at a fifth of the indices of
+        # the other axes, every third of them zero; zero samples elsewhere
+        grid = Grid(dim=dim, n=n, length=TAU)
+        lead = np.unravel_index(
+            rng.choice(n ** (dim - 1), size=max(1, n ** (dim - 1) // 5),
+                       replace=False), (n,) * (dim - 1))
+        rows = rng.standard_normal((lead[0].size, n))
+        rows[::3] = 0.0
+        data = np.zeros(grid.shape)
+        data[lead] = rows
+        got = _rfft_rows(grid, lead, rows)
+        assert np.array_equal(got, grid.rfft(data))
 
     def test_fft_normalization_mean(self, grid16):
         # zero mode of the normalized transform is the spatial mean
