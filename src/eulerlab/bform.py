@@ -25,6 +25,7 @@ from .spectral import (
     ScalarField,
     VectorField,
     _check_same_grid,
+    _matmul,
     chi_symbol,
     sobolev_norm,
 )
@@ -32,20 +33,6 @@ from .spectral import (
 __all__ = ["BAssembly"]
 
 _DIV_TOL = 1e-6
-
-# OpenBLAS runs a real matrix product of at most 2^18 multiply-adds on one
-# thread (its SMP threshold 65536 times GEMM_MULTITHREAD_THRESHOLD 4); a
-# threaded call on a loaded host can take 100 times as long.  Complex
-# products thread from 2^16 on, so the contractions below use real ones.
-_ONE_THREAD = 2**18
-
-
-def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """``np.matmul(a, b, out=out)`` for a 2-D real ``a``, in blocks of the
-    columns of ``b`` small enough that each product runs on one thread."""
-    step = max(1, _ONE_THREAD // a.size)
-    for s in range(0, b.shape[-1], step):
-        np.matmul(a, b[..., s:s + step], out=out[..., s:s + step])
 
 
 def _roots_of_unity(n: int) -> np.ndarray:

@@ -6,8 +6,8 @@ flags.  Every CSV written carries a header row and a comment line with
 the hash of the full configuration, so outputs are traceable and
 bit-reproducible for a fixed seed.
 
-Exit codes: 0 success, 1 invariant/experiment failure, 2 config error,
-3 numerical failure.
+Exit codes: 0 success, 1 invariant/experiment failure, 2 config error
+(a run that does not fit in memory included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import hashlib
+import shutil
 import sys
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
@@ -264,9 +265,19 @@ def cmd_simulate(cfg: RunConfig) -> int:
     _step_count(cfg.T, cfg.dt)
     if cfg.dynamics == "eulerian":
         _monitors(grid, cfg.s)  # an overflowing H^s weight is a config error
-    # parameters are checked: an unwritable --out fails now, not after T
+    # parameters are checked: an unwritable --out fails now, not after T;
+    # a run that does not fit in memory removes what this made of it
+    made = [p for p in (out, *out.parents) if not p.exists()]
     out.mkdir(parents=True, exist_ok=True)
+    try:
+        return _simulate_into(cfg, u0, out)
+    except MemoryError:
+        if made:
+            shutil.rmtree(made[-1])
+        raise
 
+
+def _simulate_into(cfg: RunConfig, u0, out: Path) -> int:
     if cfg.dynamics == "eulerian":
         traj = solve(u0, cfg.T, StepperConfig(dt=cfg.dt, s_monitor=cfg.s,
                                               cutoff=cfg.cutoff))
@@ -458,6 +469,10 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERIC
     except (ValueError, OSError) as exc:  # bad config, parameter, file or --out
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # a grid or a run too large for this machine
+        print(f"config error: out of memory ({exc})" if str(exc)
+              else "config error: out of memory", file=sys.stderr)
         return EXIT_CONFIG
 
 

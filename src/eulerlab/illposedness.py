@@ -140,7 +140,10 @@ def composition_experiment(R: float = 0.1, k_max: int = 13, s: float = 2.5,
     its composition and the gap are zero off df_k's rows.  A zero row
     transforms to exact zeros, so every spectrum a row's norms read is
     ``Grid.rfft`` of the full plane bit for bit, taken from the nonzero
-    rows alone (``spectral._rfft_rows``).
+    rows alone (``spectral._rfft_rows``).  The series allocates once what
+    every row writes over: two half spectra, the two planes of squares
+    of a norm (``spectral._power``) and the rows the strip moves, so no
+    row allocates an array of grid or half-lattice size.
     """
     if grid is None:
         grid = Grid(dim=2, n=1024, length=2.0 * np.pi)
@@ -167,14 +170,23 @@ def composition_experiment(R: float = 0.1, k_max: int = 13, s: float = 2.5,
     prof = M * _axis_plateau(grid, 0, x_star[0], strip_flat, strip_out)[:, :1]
     dphi = VectorField(grid, np.broadcast_to(np.stack([np.zeros_like(prof), prof]),
                                              (2,) + grid.shape))
+    # one workspace for the series: the two half spectra a row's norms
+    # read, the two planes of squares of each norm, and room for the rows
+    # the strip moves (a row's shifts are the profile's nonzero samples
+    # times 1/k, no more of them nonzero).  The rows write over it, so
+    # none allocates an array of grid or half-lattice size
+    work = (np.empty((2,) + grid.xi_sq.shape, dtype=np.complex128),
+            np.empty((2,) + grid.xi_sq.shape),
+            np.empty((np.count_nonzero(prof), grid.n)))
     # ||dphi||_s is that of its profile along one axis.  The H^s weight
     # is symmetric in the axes, so take the profile along the last axis:
     # constant along the first, its half spectrum is the profile's rfft
     # on the line k_0 = 0 and zero elsewhere, which is what rfftn gives
     # bit for bit, so the input gap is that of a full-plane transform
-    strip_hat = np.zeros(grid.xi_sq.shape, dtype=np.complex128)
+    strip_hat = work[0][0]
+    strip_hat.fill(0.0)
     strip_hat[0] = np.fft.rfft(prof[:, 0], norm="forward")
-    dphi_norm = _hs_norm(strip_hat, _sobolev_weight(grid, s))
+    dphi_norm = _hs_norm(strip_hat, _sobolev_weight(grid, s), work[1])
 
     ks = np.arange(1, k_max + 1)
     in_gap = np.empty(k_max)
@@ -188,7 +200,8 @@ def composition_experiment(R: float = 0.1, k_max: int = 13, s: float = 2.5,
     try:
         for i, k in enumerate(ks):
             dk = delta1 / k
-            out_gap[i], out_sum[i] = _composition_row(dphi, k, x_star, dk, R, s)
+            out_gap[i], out_sum[i] = _composition_row(dphi, k, x_star, dk, R, s,
+                                                      work)
             if not (np.isfinite(out_gap[i]) and np.isfinite(out_sum[i])):
                 raise ValueError("its H^s norms pass the float range")
             in_gap[i] = dphi_norm / k
@@ -207,26 +220,30 @@ def composition_experiment(R: float = 0.1, k_max: int = 13, s: float = 2.5,
     )
 
 
-def _hs_norm(hat: np.ndarray, weight: np.ndarray) -> float:
+def _hs_norm(hat: np.ndarray, weight: np.ndarray, out: np.ndarray) -> float:
     """``sobolev_norm`` of the field whose half spectrum is ``hat``, for
-    the H^s weight plane ``weight`` (``spectral._sobolev_weight``)."""
-    return float(np.sqrt(_power(hat, weight)))
+    the H^s weight plane ``weight`` (``spectral._sobolev_weight``), with
+    ``out`` for ``_power``'s two planes of squares."""
+    return float(np.sqrt(_power(hat, weight, out)))
 
 
-def _composition_row(dphi, k, x_star, dk: float, R: float, s: float):
+def _composition_row(dphi, k, x_star, dk: float, R: float, s: float, work):
     """(output_gap, output_gap_sum) of row k of the composition series,
-    computed on df_k's rows.  The base bump cancels (see
-    ``composition_experiment``), so the row composes df_k alone:
-    nu(f_base + df_k, phi_k) - (f_base + df_k) is df_k o psi_k - df_k.
+    computed on df_k's rows, in the series' workspace ``work`` (half
+    spectra, planes of squares, moved rows; see
+    ``composition_experiment``).  The base bump cancels, so the row
+    composes df_k alone: nu(f_base + df_k, phi_k) - (f_base + df_k) is
+    df_k o psi_k - df_k.
 
     df_k's rows come from ``bump``'s own box (``fields._bump_box``) and
     are scaled with their spectrum by c, as ``df * c`` scales a field's
     samples and held spectrum.  psi_k is ``invert``'s exact inverse of
-    the strip shear; its shift per row, read as ``lagrangian.compose``
-    reads it, moves the strip's rows by ``interp._shifted_lines``, whose
-    multipliers span every moved row's shift, as in ``compose``.  So the
-    gap's samples are those of ``compose(df_k, psi_k) - df_k``.  The norms
-    read ``spectral._rfft_rows`` of df_k's and of the gap's rows, and the
+    the strip shear, formed on its one column per component; its shift
+    per row, read as ``lagrangian.compose`` reads it, moves the strip's
+    rows by ``interp._shifted_lines``, whose multipliers span every moved
+    row's shift, as in ``compose``.  So the gap's samples are those of
+    ``compose(df_k, psi_k) - df_k``.  The norms read
+    ``spectral._rfft_rows`` of df_k's and of the gap's rows, and the
     spectrum of gap + df_k is the sum of the two, as field arithmetic
     keeps it.  Non-finite samples pass through to the norms without a
     warning, and the series reports them there."""
@@ -241,19 +258,22 @@ def _composition_row(dphi, k, x_star, dk: float, R: float, s: float):
     (rows, cols), vals = _bump_box(grid, x_star, dk)
     df = np.zeros((rows.size, grid.n))
     df[:, cols] = vals
-    df_hat = _rfft_rows(grid, rows, df)
+    hats, squares, lines = work
+    df_hat = _rfft_rows(grid, rows, df, out=hats[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        c = float(0.5 * R / _hs_norm(df_hat, weight))
+        c = float(0.5 * R / _hs_norm(df_hat, weight, squares))
         df *= c
         df_hat *= c
-        lines = np.zeros((moved.size, grid.n))
+        lines = lines[:moved.size]
+        lines.fill(0.0)
         live = np.searchsorted(moved, rows)  # df_k's rows all move
         lines[live] = df
         gap = _shifted_lines(lines, t[moved], _COMPOSITION_ORDER)[live] - df
-        gap_hat = _rfft_rows(grid, rows, gap)
-        out_gap, df_norm = _hs_norm(gap_hat, weight), _hs_norm(df_hat, weight)
+        gap_hat = _rfft_rows(grid, rows, gap, out=hats[1])
+        out_gap = _hs_norm(gap_hat, weight, squares)
+        df_norm = _hs_norm(df_hat, weight, squares)
         gap_hat += df_hat  # the spectrum of gap + df_k
-        return out_gap, _hs_norm(gap_hat, weight) + df_norm
+        return out_gap, _hs_norm(gap_hat, weight, squares) + df_norm
 
 
 _PACKET_RADIUS = 0.7  # support radius of the wave packets w_k

@@ -38,7 +38,7 @@ import warnings
 
 import numpy as np
 
-from .spectral import _Field, _power
+from .spectral import _Field, _matmul, _power
 
 __all__ = ["ORDERS", "Interpolant"]
 
@@ -130,13 +130,16 @@ def _shifted_lines(lines: np.ndarray, t: np.ndarray, order) -> np.ndarray:
     transformed back.  For a spline, on the half lattice,
     S_t = exp(i omega [t]) sum_j beta(t - [t] - j) exp(i omega j) / symbol,
     |j| <= order // 2 + 1 (Unser, Aldroubi & Eden 1993), real at the
-    Nyquist bin.  For ``"fourier"``, S_t = exp(i omega t) on the full
-    lattice, k = -n/2 included, and the complex result is the
-    trigonometric sum itself: lines may be complex, and the caller takes
-    the real part once every axis is done, as the sum does.  The integer
-    part [t] is split off, so that the taps cover the kernel's support
-    for any t, and the phases of integers are read from the n-th roots of
-    unity.  Lines of equal t share one multiplier.
+    Nyquist bin; the sum over j is two real matrix products, of the taps
+    with the real and the imaginary parts of the phases, in blocks that
+    each run on one BLAS thread (``spectral._matmul``), so the multipliers
+    do not depend on the thread count.  For ``"fourier"``,
+    S_t = exp(i omega t) on the full lattice, k = -n/2 included, and the
+    complex result is the trigonometric sum itself: lines may be complex,
+    and the caller takes the real part once every axis is done, as the
+    sum does.  The integer part [t] is split off, so that the taps cover
+    the kernel's support for any t, and the phases of integers are read
+    from the n-th roots of unity.  Lines of equal t share one multiplier.
 
     An identically zero line shifts to zeros: it is kept as it is and
     never transformed.  The multipliers still span the distinct t of
@@ -163,7 +166,11 @@ def _shifted_lines(lines: np.ndarray, t: np.ndarray, order) -> np.ndarray:
         return lines
     j = np.arange(-(order // 2 + 1), order // 2 + 2)
     taps = _bspline(order, frac[:, None] - j)  # (shifts, taps)
-    mult *= taps @ roots[(j[:, None] * k) % n]
+    phases = (j[:, None] * k) % n
+    re, im = np.empty((2,) + mult.shape)
+    _matmul(taps, roots.real[phases], re)
+    _matmul(taps, roots.imag[phases], im)
+    mult *= re + 1j * im
     mult /= _BSPLINE_SYMBOLS[order](2.0 * np.pi / n * k)
     hat = np.fft.rfft(lines[live])
     hat *= mult[which]

@@ -45,6 +45,7 @@ from .spectral import (
     ScalarField,
     VectorField,
     _check_same_grid,
+    _compact,
     sobolev_norm,
 )
 
@@ -116,12 +117,17 @@ def _is_shear(g: np.ndarray) -> bool:
     """Whether the map id + g is a shear, which ``compose`` and ``invert``
     treat in closed form: every component of the displacement samples g,
     shape (dim,) + grid shape, is constant along each axis in which some
-    component is nonzero (strip shears, ``shift``, the identity).  Compares
-    g with its first slice along such an axis, a broadcast view, and stops
-    at the first axis that fails."""
+    component is nonzero (strip shears, ``shift``, the identity).  Reads
+    the distinct samples of g (``spectral._compact``: a broadcast view
+    is constant along its axes of stride zero), compares them with their
+    first slice along such an axis, a broadcast view, and stops at the
+    first axis that fails."""
+    c = _compact(g)
+    if len(c) < len(g):  # the components share their samples
+        c = np.broadcast_to(c, g.shape[:1] + c.shape[1:])
     for axis in range(g.shape[0]):
-        first = g[(slice(None),) * (axis + 1) + (slice(0, 1),)]
-        if g[axis].any() and not (g == first).all():
+        first = c[(slice(None),) * (axis + 1) + (slice(0, 1),)]
+        if c[axis].any() and not (c == first).all():
             return False
     return True
 
@@ -207,8 +213,11 @@ def invert(phi: Diffeo, order=DEFAULT_ORDER, tol: float = 1e-10,
     exact inverse id - g: x - g(x) moves only along axes where g is
     constant, so g(x - g(x)) = g(x), also for every interpolant of g.
     It is returned as it is, without interpolation and whatever the
-    guess.  Otherwise the displacement h of psi solves the fixed-point
-    equation h(x) = -g(x + h(x)); iterated undamped, h <- -g(x + h),
+    guess, formed on g's distinct samples (``spectral._compact``): for a
+    broadcast view of g, a broadcast view along the same axes, so a strip
+    shear broadcast from one column costs a column.  Otherwise the
+    displacement h of psi solves the fixed-point equation
+    h(x) = -g(x + h(x)); iterated undamped, h <- -g(x + h),
     with a Newton step using the interpolated Jacobian of g once the
     contraction stalls.  At a node phi fixes (g = 0) the exact solution
     is h = 0: it is set there, and the iteration, its residual and the
@@ -228,9 +237,10 @@ def invert(phi: Diffeo, order=DEFAULT_ORDER, tol: float = 1e-10,
         _check_same_grid(phi.displacement, guess)
     _check_order(order)
     grid = phi.grid
-    if _is_shear(phi.displacement.data):
-        return Diffeo(VectorField(grid, 0.0 - phi.displacement.data))  # +0.0 where g = 0
-    g = phi.displacement.data.reshape(grid.dim, -1)
+    g = phi.displacement.data
+    if _is_shear(g):  # +0.0 where g = 0
+        return Diffeo(VectorField(grid, np.broadcast_to(0.0 - _compact(g), g.shape)))
+    g = g.reshape(grid.dim, -1)
     sel = _moved_nodes(g)
     g_interp = Interpolant(phi.displacement, order=order)
     x = _node_coords(grid, sel)

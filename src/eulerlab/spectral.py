@@ -43,6 +43,12 @@ __all__ = [
 # periodic images.
 DEFAULT_BOX_LENGTH = 16.0 * np.pi
 
+# OpenBLAS runs a real matrix product of at most 2^18 multiply-adds on one
+# thread (its SMP threshold 65536 times GEMM_MULTITHREAD_THRESHOLD 4); a
+# threaded call on a loaded host can take 100 times as long.  Complex
+# products thread from 2^16 on, so the contractions use real ones.
+_ONE_THREAD = 2**18
+
 # Largest grid, in points: one real sample plane of 512 MiB (2D n <= 8192,
 # 3D n <= 256).  A solve holds a few dozen planes, so a larger grid would
 # not fit in memory; it is refused before anything is allocated.
@@ -196,20 +202,42 @@ class Grid:
         return np.fft.irfft(hat, n=self.n, axis=-1, norm="forward", out=out)
 
 
-def _rfft_rows(grid: Grid, index, rows: np.ndarray) -> np.ndarray:
+def _rfft_rows(grid: Grid, index, rows: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
     """``Grid.rfft`` of the samples that are ``rows`` on the lines along
     the last axis that ``index`` selects (an index into the other axes)
-    and zero on every other line, from those lines alone.
+    and zero on every other line, from those lines alone; written into
+    ``out`` (complex, half-lattice shape), zero-filled first, when given.
 
     A zero line transforms to exact zeros, so the last axis's ``rfft``
     runs on ``rows`` only; the complex passes then run in place along
     the other axes, in the order and with the scaling ``rfftn`` uses, so
     the result is ``Grid.rfft`` of the full samples bit for bit."""
-    hat = np.zeros(grid.xi_sq.shape, dtype=np.complex128)
-    hat[index] = np.fft.rfft(rows, axis=-1, norm="forward")
+    if out is None:
+        out = np.zeros(grid.xi_sq.shape, dtype=np.complex128)
+    else:
+        out.fill(0.0)
+    out[index] = np.fft.rfft(rows, axis=-1, norm="forward")
     for axis in range(-2, -grid.dim - 1, -1):
-        np.fft.fft(hat, axis=axis, norm="forward", out=hat)
-    return hat
+        np.fft.fft(out, axis=axis, norm="forward", out=out)
+    return out
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """``np.matmul(a, b, out=out)`` for a 2-D real ``a``, in blocks of the
+    columns of ``b`` small enough that each product runs on one thread."""
+    step = max(1, _ONE_THREAD // a.size)
+    for s in range(0, b.shape[-1], step):
+        np.matmul(a, b[..., s:s + step], out=out[..., s:s + step])
+
+
+def _compact(a: np.ndarray) -> np.ndarray:
+    """``a`` with every axis of stride zero cut to length 1: the distinct
+    samples of a broadcast view, a view of them; ``a`` itself, in full,
+    when no stride is zero."""
+    if 0 not in a.strides:
+        return a
+    return a[tuple(slice(0, 1) if st == 0 else slice(None) for st in a.strides)]
 
 
 def _check_same_grid(*objs) -> Grid:
@@ -224,6 +252,8 @@ def _check_same_grid(*objs) -> Grid:
 class _Field:
     """Samples of a (possibly tensor-valued) field and its read-only half
     spectrum: the one ``from_hat`` built it from, else computed on first use.
+    The samples must be finite; a broadcast view is kept as it is and
+    checked on its distinct samples (``_compact``).
 
     ``+``, ``-``, scalar ``*`` and unary ``-`` give a field that holds the
     same linear combination of the operands' held spectra when every
@@ -236,7 +266,7 @@ class _Field:
         expected = (grid.dim,) * self._comp_axes + grid.shape
         if data.shape != expected:
             raise ValueError(f"{type(self).__name__} data shape {data.shape} != {expected}")
-        if not np.all(np.isfinite(data)):
+        if not np.all(np.isfinite(_compact(data))):
             raise ValueError(f"{type(self).__name__} contains non-finite samples")
         self.grid = grid
         self.data = data
@@ -378,13 +408,23 @@ def _sobolev_weight(grid: Grid, s: float) -> np.ndarray:
     return w
 
 
-def _power(hat: np.ndarray, weight=1.0) -> float:
+def _power(hat: np.ndarray, weight=1.0, out: np.ndarray | None = None) -> float:
     """sum weight |hat|^2 for ``sobolev_norm``, the energy and the Nyquist
     check.  Past the float range it reads inf, or nan where an inf square
     meets a weight that underflowed to 0, without a warning; a caller that
-    cannot use such a norm (a solve, a separation row) fails on it."""
+    cannot use such a norm (a solve, a separation row) fails on it.
+
+    ``out``, two real planes of the shape of ``hat`` (allocated when not
+    given), takes the squares of the real and the imaginary parts and
+    their weighted sum, in the order of ``weight * (re**2 + im**2)``, so
+    a caller that passes it allocates nothing of that shape."""
+    sq, im2 = np.empty((2,) + hat.shape) if out is None else out
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.sum(weight * (hat.real ** 2 + hat.imag ** 2)))
+        np.multiply(hat.real, hat.real, out=sq)
+        np.multiply(hat.imag, hat.imag, out=im2)
+        np.add(sq, im2, out=sq)
+        np.multiply(weight, sq, out=sq)
+        return float(np.sum(sq))
 
 
 def sobolev_norm(f: _Field, s: float) -> float:

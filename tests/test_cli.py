@@ -623,6 +623,47 @@ class TestExitCodeContract:
         assert traced.peak < 1_000_000
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, late", [
+        (["simulate", "--T", "0.002", "--dt", "0.001"], False),
+        (["simulate", "--T", "0.002", "--dt", "0.001"], True),
+        (["simulate", "--dynamics", "geodesic", "--T", "0.02", "--dt", "0.01"],
+         True),
+        (["verify"], False),
+        (["illposedness", "--experiment", "composition"], False),
+        (["illposedness", "--experiment", "solution-map", "--T", "0.02",
+          "--dt", "0.01"], False),
+        (["snapshot-dump"], False),
+    ])
+    def test_allocation_failure_is_2(self, command, late, tmp_path,
+                                     monkeypatch, capsys):
+        # a transform that cannot allocate its result, as numpy raises it;
+        # late, it fails only once --out exists, inside the solve
+        out = tmp_path / "new" / "o"
+        if command == ["snapshot-dump"]:
+            path = tmp_path / "u.egl"
+            save_snapshot(path, random_div_free(Grid(dim=2, n=8),
+                                                np.random.default_rng(0)))
+            command = [*command, path]
+        else:
+            command = [*command, "--N", "8", "--out", out]
+
+        def failing(real):
+            def transform(*args, **kwargs):
+                if late and not out.exists():
+                    return real(*args, **kwargs)
+                raise MemoryError("Unable to allocate 256. MiB for an array "
+                                  "with shape (2, 4096, 2049) and data type "
+                                  "complex128")
+            return transform
+        for name in ("rfft", "rfftn"):
+            monkeypatch.setattr(np.fft, name, failing(getattr(np.fft, name)))
+        code = run(command)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith("config error: out of memory (Unable to allocate")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "new").exists()
+
 
 class TestSimulate:
     def test_writes_outputs(self, tmp_path):

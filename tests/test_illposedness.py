@@ -69,14 +69,15 @@ def series():
                                   grid=Grid(dim=2, n=256, length=TAU))
 
 
-def _row_with_base(dphi, k, x_star, dk, R, s, compose=compose):
+def _row_with_base(dphi, k, x_star, dk, R, s, work=None, compose=compose):
     """A composition row on full planes that forms the base point, as the
     rows did before they moved to df_k's rows and before the base point
     was dropped: f_base, the bump of radius 1 at (3L/4, L/4) normalised in
     H^s, plus df_k is composed with psi_k by ``compose``, the gap is taken
     against f_base + df_k, and every norm is ``sobolev_norm`` of a field.
     The gap's norm comes first, so that gap + df_k holds the sum of the
-    two spectra, as in the full-plane rows."""
+    two spectra, as in the full-plane rows.  The series' workspace
+    ``work`` is not used."""
     grid = dphi.grid
     f_base = bump(grid, [0.75 * grid.length, 0.25 * grid.length], r=1.0)
     f_base = f_base * (1.0 / sobolev_norm(f_base, s))
@@ -167,8 +168,9 @@ class TestCompositionExperiment:
         monkeypatch.setattr(Interpolant, "at", lambda self, p:
                             calls.append(1) or at(self, p))
         rfft_rows = illposedness._rfft_rows
-        monkeypatch.setattr(illposedness, "_rfft_rows", lambda grid, index, r:
-                            rows.append(len(r)) or rfft_rows(grid, index, r))
+        monkeypatch.setattr(illposedness, "_rfft_rows", lambda grid, index, r,
+                            out=None: rows.append(len(r))
+                            or rfft_rows(grid, index, r, out))
         composition_experiment(R=0.1, k_max=4,
                                grid=Grid(dim=2, n=128, length=TAU))
         assert rows == [13, 13, 7, 7, 5, 5, 3, 3]
@@ -224,9 +226,11 @@ class TestCompositionExperiment:
         invert, shifted = illposedness.invert, illposedness._shifted_lines
 
         def recorded(lines, t, order):
+            # copies: the rows shift their lines in the series' workspace
             before = lines.copy()
-            shifts.append((before, order, shifted(lines, t, order)))
-            return shifts[-1][2]
+            got = shifted(lines, t, order)
+            shifts.append((before, order, got.copy()))
+            return got
         monkeypatch.setattr(illposedness, "invert", lambda *a, **kw:
                             maps.append(invert(*a, **kw)) or maps[-1])
         monkeypatch.setattr(illposedness, "_shifted_lines", recorded)
@@ -275,6 +279,25 @@ class TestCompositionExperiment:
         with TracedPeak() as traced:
             row(*rows[1])
         assert traced.peak <= 12 * 2**20
+
+    def test_row_writes_into_the_series_workspace(self, monkeypatch):
+        # with the series' workspace a row holds df_k's rows and the moved
+        # rows' spectra and multipliers, and no plane (4 MiB of samples or
+        # 2 MiB of half spectrum at N = 512; 6.9 MiB before the workspace);
+        # what the workspace held does not reach the result
+        rows = []
+        row = illposedness._composition_row
+        monkeypatch.setattr(illposedness, "_composition_row", lambda *a:
+                            rows.append(a) or row(*a))
+        composition_experiment(R=0.1, k_max=2,
+                               grid=Grid(dim=2, n=512, length=TAU))
+        ref = row(*rows[1])  # warm-up
+        for buf in rows[1][-1]:
+            buf.fill(np.nan)
+        with TracedPeak() as traced:
+            got = row(*rows[1])
+        assert traced.peak <= 2 * 2**20
+        assert got == ref
 
     def test_metadata_recorded(self, series):
         assert series.metadata["experiment"] == "composition"

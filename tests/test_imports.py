@@ -1,7 +1,7 @@
-"""Package imports: importing eulerlab, or running an Eulerian solve, loads
-no optional scipy submodule (scipy.fft alone costs more than the rest of
-the import), and the package re-exports exactly each submodule's
-``__all__``."""
+"""Package imports: importing eulerlab, or running an Eulerian solve or a
+composition series, loads no optional scipy submodule (scipy.fft alone
+costs more than the rest of the import), and the package re-exports
+exactly each submodule's ``__all__``."""
 
 import ast
 import importlib
@@ -37,6 +37,17 @@ def test_eulerian_solve_loads_no_scipy_submodules():
     run = ("from eulerlab import Grid, StepperConfig, solve, taylor_green; "
            "solve(taylor_green(Grid(dim=2, n=16)), 0.02, "
            "StepperConfig(dt=0.01))")
+    assert scipy_submodules_loaded(run) == ""
+
+
+def test_composition_series_loads_no_scipy_submodules():
+    """The composition rows shift lines and take norms with numpy alone.
+    This guards the composition-n512 benchmark's peak_rss_mb and
+    setup_s, as the Eulerian test guards euler-n128's."""
+    run = ("import numpy as np; "
+           "from eulerlab import Grid, composition_experiment; "
+           "composition_experiment(R=0.1, k_max=2, "
+           "grid=Grid(dim=2, n=64, length=2.0 * np.pi))")
     assert scipy_submodules_loaded(run) == ""
 
 

@@ -16,7 +16,13 @@ from eulerlab import (
 )
 from eulerlab.bform import BAssembly
 from eulerlab.fields import jacobian
-from eulerlab.interp import _FOURIER_BLOCK, _NYQUIST_WARN, Interpolant
+from eulerlab.interp import (
+    _FOURIER_BLOCK,
+    _NYQUIST_WARN,
+    Interpolant,
+    _shifted_lines,
+)
+from eulerlab.spectral import _ONE_THREAD
 
 from conftest import FullLattice
 
@@ -446,3 +452,32 @@ class TestFourierReference:
         expect = np.cos(2.0 * np.pi / n * ((k * j) % n) + 2.0 * np.pi * k * r)
         vals = Interpolant(f, order="fourier").at(x)
         assert np.max(np.abs(vals - expect[:, None])) <= 2e-15
+
+
+class TestShiftedLines:
+    @pytest.mark.parametrize("order", [3, 5])
+    def test_multipliers_run_in_one_thread_blocks(self, rng, monkeypatch,
+                                                  order):
+        # the taps-by-phases products are real and cut into blocks of
+        # columns of at most _ONE_THREAD multiply-adds, which OpenBLAS runs
+        # on one thread; one complex product of 300 shifts x (order + 2)
+        # taps x 513 modes would thread
+        n, m = 1024, 300
+        lines = rng.standard_normal((m, n))
+        t = rng.uniform(-3.0, 3.0, m)
+        ref = _shifted_lines(lines.copy(), t, order)
+        calls = []
+        matmul = np.matmul
+
+        def recorded(a, b, out):
+            calls.append((a.dtype, b.dtype, out.dtype, a.size * b.shape[-1]))
+            return matmul(a, b, out=out)
+        monkeypatch.setattr(np, "matmul", recorded)
+        got = _shifted_lines(lines.copy(), t, order)
+        monkeypatch.undo()
+        assert np.array_equal(got, ref)
+        assert {c[:3] for c in calls} == {(np.dtype(np.float64),) * 3}
+        sizes = [c[3] for c in calls]
+        assert len(sizes) > 2
+        assert max(sizes) <= _ONE_THREAD
+        assert sum(sizes) == 2 * m * (order + 2) * (n // 2 + 1)

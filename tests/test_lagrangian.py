@@ -393,6 +393,33 @@ class TestShearInverse:
         h = invert(_strip_shear(grid32)).displacement.data
         assert not np.any(np.signbit(h) & (h == 0.0))
 
+    def test_broadcast_strip_shear_at_its_compact_size(self):
+        # the composition row's strip shear, one column per component
+        # broadcast along the last axis, is checked and inverted on that
+        # column: its inverse is a broadcast view of 0.0 - the column, and
+        # no 4 MiB plane is formed or read (the full-plane path peaked at
+        # 4.6 MiB)
+        grid = Grid(dim=2, n=512, length=TAU)
+        col = _strip_shear(grid).displacement.data[::-1, :, :1]
+        g = np.broadcast_to(col, (2,) + grid.shape)
+        phi = Diffeo(VectorField(grid, g))
+        invert(phi, order=5)  # warm-up
+        with TracedPeak() as traced:
+            h = invert(phi, order=5).displacement.data
+        assert traced.peak <= 64 * 2**10
+        assert np.array_equal(h, 0.0 - g)
+        assert not np.any(np.signbit(h) & (h == 0.0))
+        assert h.strides[-1] == 0
+
+    def test_broadcast_components_are_compared(self, grid32):
+        # both components broadcast from one column: each moves nodes
+        # along an axis in which the column varies, so no shear
+        col = np.linspace(0.0, 0.1, grid32.n).reshape(1, -1, 1)
+        g = np.broadcast_to(col, (2,) + grid32.shape)
+        assert not lagrangian._is_shear(g)
+        assert lagrangian._is_shear(np.broadcast_to(0.0 * col, g.shape))
+        assert lagrangian._is_shear(g * np.array([0.0, 1.0]).reshape(2, 1, 1))
+
 
 def _band_limited(grid, rng, kind):
     """A band-limited scalar, vector or matrix field."""

@@ -20,7 +20,7 @@ from eulerlab import (
     sobolev_inner,
     sobolev_norm,
 )
-from eulerlab.spectral import _rfft_rows
+from eulerlab.spectral import _power, _rfft_rows, _sobolev_weight
 
 from conftest import FullLattice, TracedPeak
 
@@ -90,6 +90,17 @@ class TestGrid:
         data[lead] = rows
         got = _rfft_rows(grid, lead, rows)
         assert np.array_equal(got, grid.rfft(data))
+
+    @pytest.mark.parametrize("dim, n", [(2, 8), (2, 512), (3, 16)])
+    def test_rows_transform_into_out(self, dim, n, rng):
+        # out= is zero-filled and written over: the same bits as a new array
+        grid = Grid(dim=dim, n=n, length=TAU)
+        lead = (rng.choice(n, size=3, replace=False),) * (dim - 1)
+        rows = rng.standard_normal((3, n))
+        out = np.full(grid.xi_sq.shape, np.nan + 1j)
+        got = _rfft_rows(grid, lead, rows, out=out)
+        assert got is out
+        assert np.array_equal(got, _rfft_rows(grid, lead, rows))
 
     def test_fft_normalization_mean(self, grid16):
         # zero mode of the normalized transform is the spatial mean
@@ -188,6 +199,19 @@ class TestSobolevNorm:
             sobolev_norm(f, s)
         with pytest.raises(ValueError, match="s must be finite"):
             sobolev_inner(f, f, s)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e160, 1e200])
+    @pytest.mark.parametrize("s", [None, 2.5, -400.0])
+    def test_power_into_out(self, rng, s, scale):
+        # two planes of squares given: the same bits, inf and nan included
+        grid = Grid(dim=2, n=64, length=TAU)
+        hat = random_scalar(grid, rng).hat * scale
+        weight = 1.0 if s is None else _sobolev_weight(grid, s)
+        out = np.full((2,) + hat.shape, np.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _power(hat, weight, out)
+        assert np.array_equal([got], [_power(hat, weight)], equal_nan=True)
 
     def test_norm_past_the_float_range_is_inf_without_warning(self, grid16,
                                                               rng):
@@ -376,6 +400,18 @@ class TestCarriedSpectra:
         out = _UNARY[op](a)
         self._check(out, _UNARY[op](f.hat) if held else None, planes)
         assert np.array_equal(out.data, _UNARY[op](f.data))
+
+    @pytest.mark.parametrize("kind", [ScalarField, VectorField])
+    def test_non_finite_broadcast_view_rejected(self, grid16, kind):
+        # a broadcast view is checked on its distinct samples, all of them
+        col = np.zeros((grid16.n, 1))
+        col[5] = np.nan
+        shape = (grid16.dim,) * (kind is VectorField) + grid16.shape
+        with pytest.raises(ValueError, match="non-finite"):
+            kind(grid16, np.broadcast_to(col, shape))
+        col[5] = 1.0
+        assert np.array_equal(kind(grid16, np.broadcast_to(col, shape)).data,
+                              np.broadcast_to(col, shape))
 
     def test_non_finite_result_rejected_before_its_spectrum(self, grid16, rng):
         f = random_scalar(grid16, rng)  # holds the spectrum it was built from
