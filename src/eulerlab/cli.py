@@ -266,12 +266,12 @@ def cmd_simulate(cfg: RunConfig) -> int:
     if cfg.dynamics == "eulerian":
         _monitors(grid, cfg.s)  # an overflowing H^s weight is a config error
     # parameters are checked: an unwritable --out fails now, not after T;
-    # a run that does not fit in memory removes what this made of it
+    # a run that fails removes what this made of it
     made = [p for p in (out, *out.parents) if not p.exists()]
     out.mkdir(parents=True, exist_ok=True)
     try:
         return _simulate_into(cfg, u0, out)
-    except MemoryError:
+    except Exception:
         if made:
             shutil.rmtree(made[-1])
         raise

@@ -15,12 +15,10 @@ import numpy as np
 from .bform import BAssembly
 from .spectral import (
     Grid,
-    ScalarField,
     VectorField,
     _check_same_grid,
     _power,
     _sobolev_weight,
-    chi_symbol,
 )
 
 __all__ = [
@@ -31,7 +29,6 @@ __all__ = [
     "rhs",
     "step",
     "solve",
-    "div_evolution_residual",
     "energy",
 ]
 
@@ -222,25 +219,6 @@ def solve(u0: VectorField, T: float, cfg: StepperConfig | None = None) -> Trajec
     for state in _stepped(u0, _step_count(T, cfg.dt), cfg, rows):
         pass
     return _trajectory(u0, state, rows)
-
-
-def div_evolution_residual(u: VectorField, cutoff: float = 1.0) -> ScalarField:
-    """Instantaneous drift of div u along the evolution:
-
-        chi(D)(2 (u . grad) div u + (div u)^2) - (u . grad) div u.
-
-    Identically zero on divergence-free fields, since every term carries
-    a factor of div u.  Products are dealiased by the 2/3 rule.
-    """
-    grid = u.grid
-    d_hat = np.sum(grid.deriv * u.hat, axis=0)
-    d = grid.irfft(d_hat)
-    grad_d = grid.irfft(grid.deriv * d_hat)
-    keep = grid.dealias_mask
-    adv = keep * grid.rfft(np.sum(u.data * grad_d, axis=0))
-    sq = keep * grid.rfft(d * d)
-    low = chi_symbol(grid, cutoff)
-    return ScalarField.from_hat(grid, low * (2.0 * adv + sq) - adv)
 
 
 def energy(u: VectorField) -> float:

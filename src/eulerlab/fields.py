@@ -1,5 +1,5 @@
 """Vector/matrix field calculus: divergence, Jacobian, advection, Leray
-projection, vorticity, Biot-Savart inversion, mollifiers and bump fields."""
+projection, vorticity, Biot-Savart inversion and bump fields."""
 
 from __future__ import annotations
 
@@ -24,9 +24,7 @@ __all__ = [
     "leray_project",
     "vorticity",
     "biot_savart",
-    "mollify",
     "bump",
-    "plateau",
     "div_free_bump",
     "random_div_free",
     "taylor_green",
@@ -101,55 +99,6 @@ def biot_savart(omega: MatrixField) -> VectorField:
             acc += omega.hat[ell, j] * grid.xi_axes[j]
         hat[ell] = np.where(grid.xi_sq > 0, -1j * acc / safe, 0.0)
     return VectorField.from_hat(grid, hat)
-
-
-# ---------------------------------------------------------------------------
-# mollifiers
-# ---------------------------------------------------------------------------
-
-_MOLLIFIER_NODES = 512
-# radii per quadrature product: 512 x _MOLLIFIER_NODES = 2^18 multiply-adds,
-# a size OpenBLAS runs on one thread, so the profile does not depend on
-# the BLAS thread count
-_MOLLIFIER_BLOCK = 512
-
-
-def _mollifier_profile(q: np.ndarray, dim: int) -> np.ndarray:
-    """Fourier transform of the unit-mass radial bump rho on |x| < 1.
-
-    rho(r) = c exp(-1/(1-r^2)); the profile is normalised so that the
-    value at q = 0 is exactly 1.  2D uses the Hankel (J0) transform,
-    3D the spherical (sinc) transform.
-    """
-    from scipy.special import j0
-
-    r = (np.arange(_MOLLIFIER_NODES) + 0.5) / _MOLLIFIER_NODES
-    rho = np.exp(-1.0 / (1.0 - r * r))
-    weight = r * rho if dim == 2 else r * r * rho
-    qf = np.asarray(q, dtype=np.float64).ravel()
-    vals = np.empty(qf.size)
-    for i in range(0, qf.size, _MOLLIFIER_BLOCK):
-        qr = np.outer(qf[i:i + _MOLLIFIER_BLOCK], r)
-        if dim == 2:
-            kernel = j0(qr)
-        else:
-            kernel = np.ones_like(qr)
-            nz = qr != 0
-            kernel[nz] = np.sin(qr[nz]) / qr[nz]
-        vals[i:i + _MOLLIFIER_BLOCK] = kernel @ weight
-    vals /= np.sum(weight)
-    return vals.reshape(np.shape(q))
-
-
-def mollify(f, eps: float):
-    """Convolution with the rescaled radial bump, spectrally: f_hat * rho_hat(eps xi)."""
-    if not eps > 0:
-        raise ValueError(f"mollifier width must be positive, got {eps}")
-    grid = f.grid
-    # the profile is radial: one quadrature per distinct |xi|, not per mode
-    xi_sq, mode = np.unique(grid.xi_sq, return_inverse=True)
-    mult = _mollifier_profile(eps * np.sqrt(xi_sq), grid.dim)[mode]
-    return type(f).from_hat(grid, f.hat * mult)
 
 
 # ---------------------------------------------------------------------------
@@ -228,17 +177,6 @@ def _smooth_step(t: np.ndarray) -> np.ndarray:
 
     tc = np.clip(t, 0.0, 1.0)
     return h(tc) / (h(tc) + h(1.0 - tc))
-
-
-def plateau(grid: Grid, center, r_flat: float, r: float,
-            amplitude: float = 1.0) -> ScalarField:
-    """Smooth cutoff equal to `amplitude` on |y - x| <= r_flat, 0 outside
-    r, through the C^inf transition ``_smooth_step``."""
-    if not 0 < r_flat < r:
-        raise ValueError("need 0 < r_flat < r")
-    center = _check_support(grid, center, r)
-    d = np.sqrt(_sum_sq([_axis_dist(grid, c) for c in center]))
-    return ScalarField(grid, amplitude * _smooth_step((r - d) / (r - r_flat)))
 
 
 def div_free_bump(grid: Grid, center, r: float, s: float = 2.5,

@@ -16,7 +16,6 @@ parameters are desk-scaled versions of the idealized ones (see README).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +40,6 @@ __all__ = [
     "solution_map_experiment",
     "scaling_check",
     "dexp_fd",
-    "dexp_richardson",
 ]
 
 # spline order of each row's composition and of its invert call; the
@@ -377,9 +375,6 @@ def scaling_check(u0: VectorField, T: float, dt: float = 1e-3,
     return sobolev_norm(left - (1.0 / T) * right, s) / sobolev_norm(left, s)
 
 
-_RICHARDSON_WARN = 10.0
-
-
 def dexp_fd(u0: VectorField, v: VectorField, eps: float,
             cfg: GeodesicConfig | None = None) -> VectorField:
     """Central finite difference of the exponential map,
@@ -394,21 +389,3 @@ def dexp_fd(u0: VectorField, v: VectorField, eps: float,
     minus = exp_map(u0 - eps * v, 1.0, cfg=cfg).displacement
     return (1.0 / (2.0 * eps)) * (plus - minus)
 
-
-def dexp_richardson(u0: VectorField, v: VectorField, eps: float,
-                    cfg: GeodesicConfig | None = None, s: float = 2.5):
-    """(estimate, disagreement): the eps and eps/2 finite differences and
-    their H^s distance.  A disagreement above _RICHARDSON_WARN eps^2
-    (relative), far above the expected 4x reduction of the eps^2 error,
-    signals a round-off dominated eps and warns."""
-    d1 = dexp_fd(u0, v, eps, cfg=cfg)
-    d2 = dexp_fd(u0, v, 0.5 * eps, cfg=cfg)
-    gap = sobolev_norm(d1 - d2, s)
-    scale = max(sobolev_norm(d2, s), 1e-300)
-    if gap > _RICHARDSON_WARN * eps * eps * scale:
-        warnings.warn(
-            f"finite-difference step eps = {eps:g} looks round-off dominated "
-            f"(Richardson disagreement {gap:.3e})",
-            stacklevel=2,
-        )
-    return d2, gap

@@ -38,7 +38,7 @@ import warnings
 
 import numpy as np
 
-from .spectral import _Field, _matmul, _power
+from .spectral import _Field, _matmul, _power, _roots_of_unity
 
 __all__ = ["ORDERS", "Interpolant"]
 
@@ -152,7 +152,7 @@ def _shifted_lines(lines: np.ndarray, t: np.ndarray, order) -> np.ndarray:
     ts, which = np.unique(t, return_inverse=True)
     whole = np.floor(ts)
     frac = ts - whole
-    roots = np.exp(2j * np.pi / n * np.arange(n))
+    roots = _roots_of_unity(n)
     if order == "fourier":
         k = np.fft.fftfreq(n, 1.0 / n).astype(np.int64)
     else:
@@ -268,7 +268,7 @@ class Interpolant:
 
     def _fourier_at(self, flat: np.ndarray) -> np.ndarray:
         n, m = self.grid.n, flat.shape[1]
-        roots = np.exp(2j * np.pi / n * np.arange(n))
+        roots = _roots_of_unity(n)
         out = np.empty((self._hat.shape[0], m))
         for start in range(0, m, _FOURIER_BLOCK):
             sl = slice(start, min(start + _FOURIER_BLOCK, m))

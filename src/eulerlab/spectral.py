@@ -231,6 +231,20 @@ def _matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
         np.matmul(a, b[..., s:s + step], out=out[..., s:s + step])
 
 
+def _roots_of_unity(n: int) -> np.ndarray:
+    """exp(2 pi i j / n) for j = 0..n-1, n a power of two >= 8, each taken
+    from a cosine or sine of a first-octant angle by the exact symmetries
+    of the circle: off by about 1e-16, where ``exp(2j * pi * j / n)``
+    carries the rounding of pi times the phase, up to 6.5e-16."""
+    o = n // 8
+    t = 2.0 * np.pi * np.arange(o + 1) / n
+    c, s = np.cos(t), np.sin(t)
+    # the first quadrant by cos(pi/2 - t) = sin t, the others by rotation
+    z = (np.concatenate([c, s[o - 1:0:-1]])
+         + 1j * np.concatenate([s, c[o - 1:0:-1]]))
+    return np.concatenate([z, 1j * z, -z, -1j * z])
+
+
 def _compact(a: np.ndarray) -> np.ndarray:
     """``a`` with every axis of stride zero cut to length 1: the distinct
     samples of a broadcast view, a view of them; ``a`` itself, in full,

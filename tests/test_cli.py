@@ -710,10 +710,12 @@ class TestSimulate:
 
     def test_geodesic_folding_step_is_numeric_failure(self, tmp_path):
         # dt * |du| = 2: the stage maps fold and cannot be inverted
+        out = tmp_path / "g"
         code = run(["simulate", "--N", "16", "--dt", "0.1", "--T", "0.1",
                     "--dynamics", "geodesic", "--initial", "taylor-green",
-                    "--amplitude", "20", "--out", tmp_path / "g"])
+                    "--amplitude", "20", "--out", out])
         assert code == EXIT_NUMERIC
+        assert not out.exists()
 
     def test_geodesic_orientation_failure_is_numeric(self, tmp_path, monkeypatch):
         from eulerlab import lagrangian
@@ -721,9 +723,11 @@ class TestSimulate:
 
         monkeypatch.setattr(lagrangian, "det_jacobian",
                             lambda phi: ScalarField(phi.grid, -np.ones(phi.grid.shape)))
+        out = tmp_path / "g"
         code = run(["simulate", "--N", "16", "--dt", "0.01", "--T", "0.02",
-                    "--dynamics", "geodesic", "--out", tmp_path / "g"])
+                    "--dynamics", "geodesic", "--out", out])
         assert code == EXIT_NUMERIC
+        assert not out.exists()
 
     def test_singular_newton_system_is_numeric(self, tmp_path, monkeypatch):
         # LinAlgError is a ValueError, but not a rejected parameter
@@ -732,9 +736,11 @@ class TestSimulate:
         def singular(*args, **kwargs):
             raise np.linalg.LinAlgError("Singular matrix")
         monkeypatch.setattr(cli, "solve", singular)
+        out = tmp_path / "o"
         code = run(["simulate", "--N", "16", "--dt", "0.01", "--T", "0.02",
-                    "--out", tmp_path / "o"])
+                    "--out", out])
         assert code == EXIT_NUMERIC
+        assert not out.exists()
 
     def test_snapshot_dump_reads_result(self, tmp_path, capsys):
         out = tmp_path / "o"

@@ -11,7 +11,6 @@ from eulerlab import (
     StepperConfig,
     VectorField,
     bump,
-    div_evolution_residual,
     divergence,
     energy,
     flow_of,
@@ -89,14 +88,6 @@ def test_drift_budget_flags_divergent_data(grid16, rng):
     noise = VectorField(grid16, 1e-3 * rng.standard_normal((2,) + grid16.shape))
     traj = solve(noise, 0.02, StepperConfig(dt=0.01))
     assert traj.drift_budget_exceeded
-
-
-def test_div_evolution_residual_closes(grid32, rng):
-    # the divergence of the right-hand side reproduces the claimed
-    # evolution law for div u up to the localized commutator terms
-    u = random_div_free(grid32, rng, max_xi=5.0)
-    res = div_evolution_residual(u)
-    assert sobolev_norm(res, 1.0) < 1e-9
 
 
 def test_energy_matches_l2_norm(grid16, rng):

@@ -19,9 +19,7 @@ from eulerlab import (
     gradient,
     jacobian,
     leray_project,
-    mollify,
     partial_derivative,
-    plateau,
     random_div_free,
     random_scalar,
     sobolev_inner,
@@ -30,7 +28,6 @@ from eulerlab import (
     vorticity,
 )
 from eulerlab import fields
-from eulerlab.fields import _mollifier_profile
 
 from conftest import FullLattice
 
@@ -185,12 +182,6 @@ class TestBumps:
         with pytest.raises(ValueError):
             bump(grid16, (0.0, 0.0), r=0.6 * grid16.length)
 
-    def test_plateau_flat_region(self, grid32):
-        f = plateau(grid32, (np.pi, np.pi), r_flat=0.5, r=1.5)
-        x, y = grid32.coords()
-        inner = (x - np.pi) ** 2 + (y - np.pi) ** 2 < 0.5**2
-        assert np.max(np.abs(f.data[inner] - 1.0)) < 1e-14
-
     def test_div_free_bump_properties(self, grid32):
         u = div_free_bump(grid32, (np.pi, np.pi), r=1.0, s=2.5, norm_value=0.3)
         assert abs(sobolev_norm(u, 2.5) - 0.3) < 1e-10
@@ -208,31 +199,6 @@ class TestBumps:
     def test_div_free_bump_3d(self, grid3d):
         u = div_free_bump(grid3d, (np.pi, np.pi, np.pi), r=1.0)
         assert sobolev_norm(divergence(u), 1.0) < 1e-10
-
-
-class TestMollify:
-    def test_preserves_mean(self, grid16, rng):
-        f = random_scalar(grid16, rng) + ScalarField(
-            grid16, np.full(grid16.shape, 2.0))
-        m = mollify(f, 0.3)
-        assert abs(np.mean(m.data) - np.mean(f.data)) < 1e-12
-
-    def test_converges_to_identity(self, grid32, rng):
-        f = random_scalar(grid32, rng, max_xi=3.0)
-        errs = [sobolev_norm(mollify(f, eps) - f, 0.0) for eps in (0.2, 0.1)]
-        assert errs[1] < errs[0]
-        assert errs[1] < 0.05 * sobolev_norm(f, 0.0)
-
-    @pytest.mark.parametrize("dim", [2, 3])
-    def test_profile_does_not_depend_on_the_blas_threads(self, dim):
-        # 33,025 radii, about the distinct |xi| of a 2D N = 256 half
-        # lattice: one unblocked quadrature product runs on more than one
-        # OpenBLAS thread on a multi-core host and rounds differently from
-        # products of 512 radii, which run on one
-        q = np.linspace(0.0, 200.0, 33025)
-        pieces = [_mollifier_profile(q[i:i + 512], dim)
-                  for i in range(0, q.size, 512)]
-        assert np.array_equal(_mollifier_profile(q, dim), np.concatenate(pieces))
 
 
 def test_taylor_green_is_divergence_free_eigenfield(grid32):
@@ -278,14 +244,11 @@ def _reference(name, f, g, full):
     if name == "leray_project":
         div = sum(x * F[j] for j, x in enumerate(full.xi_axes))
         return full.ifft(F - np.stack([x * div / safe for x in full.xi_axes]))
-    if name == "biot_savart":
-        om = full.fft(vorticity(f).data)
-        acc = [sum(om[ell, j] * full.xi_axes[j] for j in range(len(F)))
-               for ell in range(len(F))]
-        return full.ifft(np.stack([np.where(full.xi_sq > 0, -1j * a / safe, 0.0)
-                                   for a in acc]))
-    profile = _mollifier_profile(0.3 * np.sqrt(full.xi_sq), full.grid.dim)
-    return full.ifft(F * profile)
+    om = full.fft(vorticity(f).data)
+    acc = [sum(om[ell, j] * full.xi_axes[j] for j in range(len(F)))
+           for ell in range(len(F))]
+    return full.ifft(np.stack([np.where(full.xi_sq > 0, -1j * a / safe, 0.0)
+                               for a in acc]))
 
 
 _OPERATORS = {
@@ -295,7 +258,6 @@ _OPERATORS = {
     "chi_cutoff": lambda f, g: chi_cutoff(f, 2.0).data,
     "leray_project": lambda f, g: leray_project(f).data,
     "biot_savart": lambda f, g: biot_savart(vorticity(f)).data,
-    "mollify": lambda f, g: mollify(f, 0.3).data,
 }
 
 

@@ -17,7 +17,6 @@ from eulerlab import (
     compose,
     composition_experiment,
     dexp_fd,
-    dexp_richardson,
     invert,
     random_div_free,
     scaling_check,
@@ -382,11 +381,3 @@ class TestExpDerivative:
         # O(eps^2): halving eps cuts the error by about 4
         assert errs[1] < 0.3 * errs[0]
         assert errs[0] < 1e-3 * sobolev_norm(v, 0.0)
-
-    def test_richardson_reports_disagreement(self, grid16, rng):
-        from eulerlab import VectorField
-        v = random_div_free(grid16, rng, s=0.0, norm_value=0.5, max_xi=3.0)
-        zero = VectorField.zero(grid16)
-        est, gap = dexp_richardson(zero, v, 1e-2, GeodesicConfig(dt=0.05))
-        assert gap < 1e-4
-        assert sobolev_norm(est - v, 0.0) < 1e-5

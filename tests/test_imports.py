@@ -89,3 +89,32 @@ def test_each_module_all_lists_its_public_definitions():
                    and (inspect.isfunction(v) or inspect.isclass(v))
                    and v.__module__ == module.__name__}
         assert defined <= set(module.__all__), (name, defined - set(module.__all__))
+
+
+def _module_imports(tree):
+    """The names that the module-level imports of ``tree`` bind, other
+    than those of ``from __future__``."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [a.asname or a.name for a in node.names]
+    return names
+
+
+def test_every_module_level_import_is_read():
+    # no linter runs on the package: an import left behind by a deletion
+    # would stay silently, so each one must be read or re-exported
+    init = Path(eulerlab.__file__)
+    for path in sorted(init.parent.glob("*.py")):
+        if path == init:
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        module = importlib.import_module(f"eulerlab.{path.stem}")
+        exported = set(getattr(module, "__all__", ()))
+        unused = [n for n in _module_imports(tree)
+                  if n not in read and n not in exported]
+        assert not unused, (path.name, unused)

@@ -20,7 +20,7 @@ from eulerlab import (
     sobolev_inner,
     sobolev_norm,
 )
-from eulerlab.spectral import _power, _rfft_rows, _sobolev_weight
+from eulerlab.spectral import _power, _rfft_rows, _roots_of_unity, _sobolev_weight
 
 from conftest import FullLattice, TracedPeak
 
@@ -429,3 +429,28 @@ def test_random_scalar_deterministic(grid16):
     a = random_scalar(grid16, np.random.default_rng(7))
     b = random_scalar(grid16, np.random.default_rng(7))
     assert np.array_equal(a.data, b.data)
+
+
+_POWERS_OF_TWO = [2**p for p in range(3, 13)]
+
+
+class TestRootsOfUnity:
+    @pytest.mark.parametrize("n", _POWERS_OF_TWO)
+    def test_quarter_turns_are_exact(self, n):
+        z = _roots_of_unity(n)
+        assert z.shape == (n,)
+        assert list(z[[0, n // 4, n // 2, 3 * n // 4]]) == [1, 1j, -1, -1j]
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                        reason="long double is no wider than float64")
+    @pytest.mark.parametrize("n", _POWERS_OF_TWO)
+    def test_within_round_off_of_extended_precision(self, n):
+        # the table is off by at most 1.3e-16 in modulus here, where
+        # np.exp(2j * np.pi / n * np.arange(n)), which carries the rounding
+        # of pi times the phase, is off by up to 7.2e-16; cos(pi/4) and
+        # sin(pi/4) differ in the last bit, so no exact conjugate symmetry
+        # is asserted
+        z = _roots_of_unity(n)
+        t = 8.0 * np.arctan(np.longdouble(1.0)) / n * np.arange(n)
+        err = np.hypot(z.real - np.cos(t), z.imag - np.sin(t))
+        assert np.max(err) <= 2.3e-16
